@@ -117,8 +117,7 @@ std::vector<Vec3f> CoherentFront(std::size_t n, u64 seed) {
 
 void BM_SampleBatchSpnerf(benchmark::State& state) {
   MicroData& d = Data();
-  SpNeRFFieldSource src(d.codec, false, false);
-  src.SetBatchDedup(state.range(0) != 0);
+  const SpNeRFFieldSource src(d.codec, false, false);
   const std::vector<Vec3f> points = CoherentFront(1024, 8);
   std::vector<FieldSample> out(points.size());
   for (auto _ : state) {
@@ -128,7 +127,7 @@ void BM_SampleBatchSpnerf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(points.size()));
 }
-BENCHMARK(BM_SampleBatchSpnerf)->Arg(1)->Arg(0);  // 1 = dedup, 0 = no dedup
+BENCHMARK(BM_SampleBatchSpnerf);
 
 void BM_SampleBatchDense(benchmark::State& state) {
   MicroData& d = Data();
@@ -269,7 +268,7 @@ BENCHMARK(BM_LookupCsc);
 /// gated).
 void WriteBatchedDecodeJson() {
   MicroData& d = Data();
-  SpNeRFFieldSource src(d.codec, false, false);
+  const SpNeRFFieldSource src(d.codec, false, false);
   const std::vector<Vec3f> points = CoherentFront(1024, 10);
   std::vector<FieldSample> out(points.size());
   constexpr int kReps = 200;
@@ -286,24 +285,17 @@ void WriteBatchedDecodeJson() {
     for (std::size_t i = 0; i < points.size(); ++i)
       out[i] = src.Sample(points[i], nullptr);
   });
-  src.SetBatchDedup(true);
   const double dedup_ms =
-      time_ms([&] { src.SampleBatch(points, out, nullptr); });
-  src.SetBatchDedup(false);
-  const double nodedup_ms =
       time_ms([&] { src.SampleBatch(points, out, nullptr); });
 
   std::printf("\nbatched decode, %zu-sample coherent front x%d reps:\n"
               "  scalar          %8.2f ms\n"
-              "  batch           %8.2f ms (%.2fx)\n"
-              "  batch no-dedup  %8.2f ms (%.2fx)\n",
+              "  batch           %8.2f ms (%.2fx)\n",
               points.size(), kReps, scalar_ms, dedup_ms,
-              scalar_ms / dedup_ms, nodedup_ms, scalar_ms / nodedup_ms);
+              scalar_ms / dedup_ms);
   json.Add("decode/scalar", scalar_ms, 1);
   json.Add("decode/batch[dedup]", dedup_ms, 1);
-  json.Add("decode/batch[no-dedup]", nodedup_ms, 1);
   json.Add("ratio/batch-vs-scalar[dedup]", scalar_ms / dedup_ms, 1);
-  json.Add("ratio/batch-vs-scalar[no-dedup]", scalar_ms / nodedup_ms, 1);
 
   // Per-kernel SIMD-vs-scalar comparison: each kernel-bearing batch path
   // runs forced to the scalar reference and forced to the best
@@ -337,7 +329,6 @@ void WriteBatchedDecodeJson() {
   const auto [tri_s, tri_v] =
       timed_pair([&] { dense_src.SampleBatch(points, out, nullptr); });
 
-  src.SetBatchDedup(true);
   const auto [blend_s, blend_v] =
       timed_pair([&] { src.SampleBatch(points, out, nullptr); });
   SpNeRFFieldSource tiu_src(d.codec, /*fp16_tiu=*/true, false);

@@ -13,7 +13,13 @@
 //   * The freelist is a Vyukov MPMC ring of slot pointers (common/
 //     mpmc_queue.hpp), so Acquire/Release are lock-free from any thread and
 //     ABA-safe by construction (a pointer re-enters the ring only after its
-//     slot was released, and ring cells handshake per lap).
+//     slot was released, and ring cells handshake per lap). The ring holds
+//     exactly the slab, so it is never really full; a push can still find
+//     its cell not yet vacated by a consumer that has claimed it but not
+//     finished its pop, and Release waits that window out.
+//   * Each slot carries an atomic in-freelist flag, set on release and
+//     cleared on acquire; a release that finds it already set is a double
+//     release and fails the check.
 //   * Exhaustion degrades gracefully: Acquire() falls back to `new T()` and
 //     Release() routes by address — slab pointers return to the freelist,
 //     heap pointers are deleted. A saturated pool gets slower, never wrong.
@@ -28,6 +34,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <thread>
 #include <typeinfo>
 
 #include "common/error.hpp"
@@ -40,10 +47,12 @@ class ObjectPool {
  public:
   explicit ObjectPool(std::size_t capacity)
       : slab_(std::make_unique<T[]>(capacity)),
+        in_freelist_(std::make_unique<std::atomic<bool>[]>(capacity)),
         capacity_(capacity),
         free_(capacity) {
     SPNERF_CHECK_MSG(capacity > 0, "object pool capacity must be positive");
     for (std::size_t i = 0; i < capacity; ++i) {
+      in_freelist_[i].store(true, std::memory_order_relaxed);
       const bool pushed = free_.TryPush(&slab_[i]);
       SPNERF_CHECK_MSG(pushed, "object pool freelist must hold the slab");
     }
@@ -56,7 +65,11 @@ class ObjectPool {
   /// state its previous user left it — reset what you use.
   [[nodiscard]] T* TryAcquire() {
     T* p = nullptr;
-    return free_.TryPop(p) ? p : nullptr;
+    if (!free_.TryPop(p)) return nullptr;
+    // relaxed: the ring's cell handshake already orders this slot's
+    // release before its pop; the flag only has to be exact per slot.
+    in_freelist_[Index(p)].store(false, std::memory_order_relaxed);
+    return p;
   }
 
   /// Like TryAcquire, but falls back to the heap when the slab is exhausted
@@ -75,12 +88,14 @@ class ObjectPool {
       delete p;
       return;
     }
-    const bool pushed = free_.TryPush(p);
-    // The freelist ring holds exactly `capacity_` slots and only slab
-    // pointers enter it, at most once each (they are owned in between), so
-    // a push can only fail on a double release.
-    SPNERF_CHECK_MSG(pushed,
+    const bool was_free =
+        in_freelist_[Index(p)].exchange(true, std::memory_order_relaxed);
+    SPNERF_CHECK_MSG(!was_free,
                      "object pool double release: " << typeid(T).name());
+    // Each slab pointer is in the ring at most once, so the ring always has
+    // room; a failed push means the cell at the ticket is still being
+    // vacated by a consumer mid-pop. Wait for it to finish.
+    while (!free_.TryPush(p)) std::this_thread::yield();
   }
 
   /// True when `p` points into the slab (as opposed to a heap fallback).
@@ -97,7 +112,12 @@ class ObjectPool {
   }
 
  private:
+  [[nodiscard]] std::size_t Index(const T* p) const {
+    return static_cast<std::size_t>(p - slab_.get());
+  }
+
   std::unique_ptr<T[]> slab_;
+  std::unique_ptr<std::atomic<bool>[]> in_freelist_;  // per slab slot
   std::size_t capacity_ = 0;
   MpmcQueue<T*> free_;
   std::atomic<std::size_t> heap_fallbacks_{0};

@@ -120,25 +120,20 @@ class SpNeRFFieldSource final : public FieldSource {
   [[nodiscard]] FieldSample Sample(Vec3f world,
                                    DecodeCounters* counters) const override;
   /// Batched vertex decode + blend, the paper's dataflow in software: the
-  /// setup pass computes bases/fractions, the dedup pass maps every
-  /// non-zero-weight corner of the front to a unique-vertex list (adjacent
-  /// samples share 4 of their 8 corners along a ray and across neighbouring
-  /// rays), one SpNeRFModel::DecodeBatch call decodes each unique vertex
-  /// once, and the blend pass re-applies the scalar corner loop against the
-  /// decoded table. DecodeCounters are replicated per (sample, corner)
-  /// reference from the per-vertex outcome class, so counters — like the
-  /// blended values — are bit-identical to scalar sampling while the hash
-  /// tables see a fraction of the lookups.
+  /// setup pass computes bases/fractions and tests every non-zero-weight
+  /// corner's occupancy bit first (with masking on), retiring zero-bit
+  /// corners to one shared zero slot; the dedup pass maps the occupied
+  /// corners of the front to a unique-vertex list (adjacent samples share 4
+  /// of their 8 corners along a ray and across neighbouring rays) through a
+  /// flat per-thread table; one SpNeRFModel::DecodeBatch call decodes each
+  /// unique vertex once, and the blend pass re-applies the scalar corner
+  /// loop against the decoded table. DecodeCounters are replicated per
+  /// (sample, corner) reference from the per-vertex outcome class, so
+  /// counters — like the blended values — are bit-identical to scalar
+  /// sampling while the hash tables see a fraction of the lookups.
   void SampleBatch(std::span<const Vec3f> positions,
                    std::span<FieldSample> out,
                    DecodeCounters* counters) const override;
-
-  /// Disables shared-corner deduplication in SampleBatch (every non-zero
-  /// weight corner decodes individually, as scalar sampling does). For
-  /// benchmarking the dedup win; results and counters are identical either
-  /// way.
-  void SetBatchDedup(bool dedup) { batch_dedup_ = dedup; }
-  [[nodiscard]] bool BatchDedup() const { return batch_dedup_; }
 
   [[nodiscard]] const char* Name() const override { return "spnerf"; }
 
@@ -150,7 +145,6 @@ class SpNeRFFieldSource final : public FieldSource {
   bool fp16_tiu_;
   bool collect_counters_;
   bool masking_;
-  bool batch_dedup_ = true;
   mutable DecodeCounters counters_;  // one-argument Sample path only
 };
 

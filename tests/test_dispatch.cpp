@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/dispatch.hpp"
+#include "common/error.hpp"
 #include "common/mpmc_queue.hpp"
 #include "common/object_pool.hpp"
 #include "common/spsc_queue.hpp"
@@ -199,6 +200,28 @@ TEST(ObjectPool, ExhaustionFallsBackToHeapGracefully) {
   EXPECT_TRUE(pool.Owns(again));
   EXPECT_EQ(pool.HeapFallbacks(), 1u);
   pool.Release(again);
+}
+
+TEST(ObjectPool, DoubleReleaseDetectedWhileRingHasRoom) {
+  // The freelist ring has room for the second push (only one of the two
+  // slots is back), so only the per-slot flag can tell it is a double
+  // release.
+  ObjectPool<int> pool(2);
+  int* a = pool.Acquire();
+  int* b = pool.Acquire();
+  pool.Release(a);
+  EXPECT_THROW(pool.Release(a), SpnerfError);
+  pool.Release(b);
+  // The rejected release left the freelist intact: both slots come back
+  // exactly once.
+  int* x = pool.TryAcquire();
+  int* y = pool.TryAcquire();
+  ASSERT_NE(x, nullptr);
+  ASSERT_NE(y, nullptr);
+  EXPECT_NE(x, y);
+  EXPECT_EQ(pool.TryAcquire(), nullptr);
+  pool.Release(x);
+  pool.Release(y);
 }
 
 TEST(ObjectPool, ConcurrentAcquireReleaseStress) {

@@ -298,40 +298,106 @@ TEST_F(WavefrontTest, NoSkipStructureBitIdentical) {
   ExpectSameCounters(scalar.counters, wave.counters);
 }
 
-TEST_F(WavefrontTest, DedupOffMatchesDedupOn) {
-  SpNeRFFieldSource dedup(*codec_, false, false);
-  SpNeRFFieldSource no_dedup(*codec_, false, false);
-  no_dedup.SetBatchDedup(false);
-  const RenderResult a = RenderWith(dedup, true, false, 2);
-  const RenderResult b = RenderWith(no_dedup, true, false, 2);
-  ExpectSameImage(a.image, b.image);
-  ExpectSameStats(a.stats, b.stats);
-  ExpectSameCounters(a.counters, b.counters);
+TEST_F(WavefrontTest, MaskingOffBitIdentical) {
+  // Fig. 6(b)'s pre-mask path: with the bitmap ignored every non-zero
+  // weight corner goes through hash decode, in the batch as in the scalar
+  // loop.
+  SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
+                           /*collect_counters=*/false);
+  source.SetMasking(false);
+  const RenderResult scalar = RenderWith(source, false, false, 1);
+  const RenderResult wave = RenderWith(source, true, false, 2);
+  EXPECT_EQ(scalar.counters.bitmap_zero, 0u);
+  ExpectSameImage(scalar.image, wave.image);
+  ExpectSameStats(scalar.stats, wave.stats);
+  ExpectSameCounters(scalar.counters, wave.counters);
+}
+
+/// A front that mixes every case of the bitmap-first classification:
+/// samples in cells whose eight corner bits are all zero, partly set and
+/// all set (some on a cell face, so zero-weight corners are skipped before
+/// their bit is tested), plus samples outside the unit box.
+std::vector<Vec3f> MixedOccupancyFront(const SpNeRFModel& codec) {
+  const GridDims& dims = codec.Dims();
+  const BitGrid& bitmap = codec.Bitmap();
+  std::vector<Vec3i> cells[3];  // all corner bits zero, some set, all set
+  for (int x = 0; x + 1 < dims.nx; ++x) {
+    for (int y = 0; y + 1 < dims.ny; ++y) {
+      for (int z = 0; z + 1 < dims.nz; ++z) {
+        int set = 0;
+        for (int corner = 0; corner < 8; ++corner) {
+          set += bitmap.Test(Vec3i{x + (corner & 1), y + ((corner >> 1) & 1),
+                                   z + ((corner >> 2) & 1)});
+        }
+        cells[set == 0 ? 0 : set == 8 ? 2 : 1].push_back({x, y, z});
+      }
+    }
+  }
+  for (const std::vector<Vec3i>& c : cells) EXPECT_FALSE(c.empty());
+
+  Rng rng(5);
+  std::vector<Vec3f> points;
+  const Vec3f scale{1.0f / static_cast<float>(dims.nx - 1),
+                    1.0f / static_cast<float>(dims.ny - 1),
+                    1.0f / static_cast<float>(dims.nz - 1)};
+  for (int k = 0; k < 96; ++k) {
+    for (const std::vector<Vec3i>& c : cells) {
+      if (c.empty()) continue;
+      const Vec3i b = c[rng.NextBelow(c.size())];
+      Vec3f f{rng.NextFloat(), rng.NextFloat(), rng.NextFloat()};
+      if (k % 4 == 0) f.z = 0.0f;  // on the cell's low-z face
+      points.push_back({(static_cast<float>(b.x) + f.x) * scale.x,
+                        (static_cast<float>(b.y) + f.y) * scale.y,
+                        (static_cast<float>(b.z) + f.z) * scale.z});
+    }
+    points.push_back({rng.Uniform(1.01f, 1.1f), rng.NextFloat(),
+                      rng.Uniform(-0.1f, -0.01f)});
+  }
+  return points;
 }
 
 TEST_F(WavefrontTest, SampleBatchMatchesScalarSamples) {
   // Unit-level contract: SampleBatch == a Sample loop, values and counters,
-  // for random (partly out-of-box) positions.
-  const SpNeRFFieldSource source(*codec_, false, false);
+  // for random (partly out-of-box) positions and for a front mixing
+  // all-zero-bit, partly and fully occupied cells, under every masking and
+  // TIU arithmetic mode.
   Rng rng(3);
-  std::vector<Vec3f> points;
+  std::vector<Vec3f> random_points;
   for (int i = 0; i < 500; ++i) {
-    points.push_back({rng.Uniform(-0.1f, 1.1f), rng.Uniform(-0.1f, 1.1f),
-                      rng.Uniform(-0.1f, 1.1f)});
+    random_points.push_back({rng.Uniform(-0.1f, 1.1f),
+                             rng.Uniform(-0.1f, 1.1f),
+                             rng.Uniform(-0.1f, 1.1f)});
   }
-  DecodeCounters scalar_counters, batch_counters;
-  std::vector<FieldSample> expected;
-  expected.reserve(points.size());
-  for (const Vec3f& p : points)
-    expected.push_back(source.Sample(p, &scalar_counters));
-  std::vector<FieldSample> got(points.size());
-  source.SampleBatch(points, got, &batch_counters);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(expected[i].density, got[i].density);
-    for (int c = 0; c < kColorFeatureDim; ++c)
-      EXPECT_EQ(expected[i].features[c], got[i].features[c]);
+  const std::vector<Vec3f> mixed_points = MixedOccupancyFront(*codec_);
+  const std::vector<Vec3f>* fronts[] = {&random_points, &mixed_points};
+  for (const bool masking : {true, false}) {
+    for (const bool fp16_tiu : {false, true}) {
+      SpNeRFFieldSource source(*codec_, fp16_tiu, false);
+      source.SetMasking(masking);
+      for (const std::vector<Vec3f>* points : fronts) {
+        SCOPED_TRACE(std::string("masking=") + (masking ? "1" : "0") +
+                     " fp16_tiu=" + (fp16_tiu ? "1" : "0") +
+                     (points == &mixed_points ? " mixed" : " random"));
+        DecodeCounters scalar_counters, batch_counters;
+        std::vector<FieldSample> expected;
+        expected.reserve(points->size());
+        for (const Vec3f& p : *points)
+          expected.push_back(source.Sample(p, &scalar_counters));
+        std::vector<FieldSample> got(points->size());
+        source.SampleBatch(*points, got, &batch_counters);
+        for (std::size_t i = 0; i < points->size(); ++i) {
+          EXPECT_EQ(expected[i].density, got[i].density) << "sample " << i;
+          for (int c = 0; c < kColorFeatureDim; ++c)
+            EXPECT_EQ(expected[i].features[c], got[i].features[c]);
+        }
+        ExpectSameCounters(scalar_counters, batch_counters);
+        EXPECT_EQ(scalar_counters.bitmap_zero > 0, masking);
+        EXPECT_GT(
+            scalar_counters.codebook_hits + scalar_counters.true_grid_hits,
+            0u);
+      }
+    }
   }
-  ExpectSameCounters(scalar_counters, batch_counters);
 }
 
 TEST_F(WavefrontTest, ForwardBatchMatchesForward) {
@@ -391,15 +457,12 @@ void ExpectSampleBatchPathsAgree(const FieldSource& source, std::size_t n,
 
 TEST_F(WavefrontTest, SimdSpnerfBlendBitIdentical) {
   for (const bool fp16_tiu : {false, true}) {
-    for (const bool dedup : {true, false}) {
-      SpNeRFFieldSource source(*codec_, fp16_tiu, /*collect_counters=*/false);
-      source.SetBatchDedup(dedup);
-      for (const std::size_t n : kTailSizes) {
-        SCOPED_TRACE(std::string("fp16_tiu=") + (fp16_tiu ? "1" : "0") +
-                     " dedup=" + (dedup ? "1" : "0") +
-                     " n=" + std::to_string(n));
-        ExpectSampleBatchPathsAgree(source, n, 17 + n, /*with_counters=*/true);
-      }
+    const SpNeRFFieldSource source(*codec_, fp16_tiu,
+                                   /*collect_counters=*/false);
+    for (const std::size_t n : kTailSizes) {
+      SCOPED_TRACE(std::string("fp16_tiu=") + (fp16_tiu ? "1" : "0") +
+                   " n=" + std::to_string(n));
+      ExpectSampleBatchPathsAgree(source, n, 17 + n, /*with_counters=*/true);
     }
   }
 }
