@@ -45,6 +45,11 @@ struct LanesAvx2 {
   static F32 And(F32 a, F32 b) { return _mm256_and_ps(a, b); }
   /// v with the lanes selected by `mask` cleared to +0.
   static F32 AndNot(F32 mask, F32 v) { return _mm256_andnot_ps(mask, v); }
+  /// One bit per lane (bit l = lane l's sign bit): a compare mask's set
+  /// lanes as an integer.
+  static unsigned MoveMask(F32 mask) {
+    return static_cast<unsigned>(_mm256_movemask_ps(mask));
+  }
 
   static I32 LoadI(const i32* p) {
     return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));

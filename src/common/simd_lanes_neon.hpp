@@ -50,6 +50,11 @@ struct LanesNeon {
     return vreinterpretq_f32_u32(
         vbicq_u32(vreinterpretq_u32_f32(v), vreinterpretq_u32_f32(mask)));
   }
+  static unsigned MoveMask(F32 mask) {
+    const uint32x4_t sign = vshrq_n_u32(vreinterpretq_u32_f32(mask), 31);
+    const int32x4_t shift = {0, 1, 2, 3};
+    return vaddvq_u32(vshlq_u32(sign, shift));
+  }
 
   static I32 LoadI(const i32* p) { return vld1q_s32(p); }
   static F32 GatherMasked(const float* base, I32 idx, F32 mask) {

@@ -30,6 +30,11 @@ Mlp Mlp::Random(u64 seed) {
     mlp.b_[layer].assign(static_cast<std::size_t>(dims[layer + 1]), 0.0f);
     InitXavier(mlp.w_[layer], dims[layer], dims[layer + 1], rng);
     for (float& b : mlp.b_[layer]) b = rng.Uniform(-0.05f, 0.05f);
+    // The SIMD ForwardBatch skips hidden-layer inputs that are +0 in a whole
+    // lane group; that is exact only while every w * (+0) is a zero.
+    SPNERF_CHECK_MSG(std::ranges::all_of(mlp.w_[layer],
+                                         [](float w) { return std::isfinite(w); }),
+                     "MLP weights must be finite");
   }
   mlp.PackHalfWeights();
   return mlp;

@@ -36,8 +36,11 @@ class Mlp {
   /// product — each weight row streams across a block of samples while it is
   /// hot in cache, the software analogue of the systolic array's
   /// weight-stationary reuse. The per-sample accumulation chain (bias first,
-  /// then inputs in index order) is exactly Forward()'s, so `out[i]` is
-  /// bit-identical to `Forward(in[i])`.
+  /// then inputs in index order) is Forward()'s, except that the SIMD
+  /// kernel leaves out hidden-layer inputs that are +0 for every sample of
+  /// a lane group (ReLU sparsity); those terms are ±0 and the ReLU erases
+  /// any sign they could flip, so `out[i]` is bit-identical to
+  /// `Forward(in[i])`. Full 32-sample blocks shade fastest.
   void ForwardBatch(std::span<const std::array<float, kMlpInputDim>> in,
                     std::span<Vec3f> out) const;
 

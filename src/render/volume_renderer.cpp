@@ -320,11 +320,16 @@ struct WavefrontScratch {
   AlignedVector<Vec3f> positions;      // front: sample positions
   AlignedVector<u32> front_ray;        // front: owning ray index
   AlignedVector<FieldSample> samples;  // front: SampleBatch output
-  AlignedVector<float> alphas;         // survivors: alpha at their sample
-  AlignedVector<u32> survivor_ray;     // survivors: owning ray index
+  // Shade queue: alpha survivors waiting for the MLP, in gate order.
+  AlignedVector<u32> shade_ray;        // owning ray index
+  AlignedVector<float> shade_weight;   // compositing weight T * alpha
   AlignedVector<std::array<float, kMlpInputDim>> mlp_in;
   AlignedVector<Vec3f> mlp_out;
 };
+
+/// Queue length at which the wavefront marcher shades: eight full 32-sample
+/// MLP blocks.
+constexpr std::size_t kShadeBatch = 256;
 
 }  // namespace
 
@@ -361,13 +366,41 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
     }
   }
 
+  // Shades the queued survivors through one ForwardBatch and adds each
+  // rgb * weight to its ray. The queue is in gate order, so a ray's
+  // contributions land in t order: the scalar loop's chain, deferred.
+  const auto shade = [&] {
+    if (count_obs) {
+      static obs::Histogram& shade_batch =
+          obs::MetricsRegistry::Global().GetHistogram("render/shade-batch");
+      shade_batch.Record(s.mlp_in.size());
+    }
+    s.mlp_out.resize(s.mlp_in.size());
+    if (options_.fp16_mlp) {
+      mlp.ForwardFp16Batch(s.mlp_in, s.mlp_out);
+    } else {
+      mlp.ForwardBatch(s.mlp_in, s.mlp_out);
+    }
+    for (std::size_t k = 0; k < s.mlp_in.size(); ++k) {
+      s.rays[s.shade_ray[k]].color += s.mlp_out[k] * s.shade_weight[k];
+    }
+    s.shade_ray.clear();
+    s.shade_weight.clear();
+    s.mlp_in.clear();
+  };
+
   // Wavefront march: each iteration advances every active ray to its next
   // in-volume sample (empty-space skipping is per-ray control flow and
-  // needs no field access), gathers the front into one SampleBatch, gates
-  // it on the alpha threshold and shades the survivors through one
-  // ForwardBatch. A ray contributes at most one sample per iteration, so
-  // its compositing chain runs in strict t order with exactly the scalar
-  // path's arithmetic.
+  // needs no field access), gathers the front into one SampleBatch and
+  // gates it on the alpha threshold. Transmittance and termination depend
+  // only on alpha, so the gate composites them at once and queues the
+  // survivor's colour for shading in full blocks. A ray contributes at
+  // most one sample per iteration, so its compositing chain runs in strict
+  // t order with exactly the scalar path's arithmetic.
+  // (A tile that threw mid-march may have left this thread's queue full.)
+  s.shade_ray.clear();
+  s.shade_weight.clear();
+  s.mlp_in.clear();
   while (!s.active.empty()) {
     s.positions.clear();
     s.front_ray.clear();
@@ -395,11 +428,9 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
     s.samples.resize(s.positions.size());
     source.SampleBatch(s.positions, s.samples, counters);
 
-    // Alpha gate: survivors assemble their MLP inputs; the rest keep
-    // marching without shading, exactly like the scalar `continue`.
-    s.alphas.clear();
-    s.survivor_ray.clear();
-    s.mlp_in.clear();
+    // Alpha gate: survivors take their compositing weight, update
+    // transmittance and termination, and queue their MLP inputs; the rest
+    // keep marching without shading, exactly like the scalar `continue`.
     for (std::size_t e = 0; e < s.samples.size(); ++e) {
       const FieldSample& smp = s.samples[e];
       const float sigma = smp.density > 0.0f ? smp.density : 0.0f;
@@ -407,30 +438,14 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
       if (alpha <= options_.alpha_threshold) continue;
       WavefrontRay& r = s.rays[s.front_ray[e]];
       ++r.evals;
-      s.alphas.push_back(alpha);
-      s.survivor_ray.push_back(s.front_ray[e]);
+      s.shade_ray.push_back(s.front_ray[e]);
+      s.shade_weight.push_back(r.transmittance * alpha);
       s.mlp_in.push_back(AssembleMlpInput(smp.features, r.view));
-    }
-
-    // Shade the survivors as one blocked matrix product.
-    s.mlp_out.resize(s.mlp_in.size());
-    if (options_.fp16_mlp) {
-      mlp.ForwardFp16Batch(s.mlp_in, s.mlp_out);
-    } else {
-      mlp.ForwardBatch(s.mlp_in, s.mlp_out);
-    }
-
-    // Composite. Each ray appears at most once per front, so per-ray
-    // accumulation order equals t order.
-    for (std::size_t k = 0; k < s.survivor_ray.size(); ++k) {
-      WavefrontRay& r = s.rays[s.survivor_ray[k]];
-      const float alpha = s.alphas[k];
-      const float weight = r.transmittance * alpha;
-      r.color += s.mlp_out[k] * weight;
       r.transmittance *= 1.0f - alpha;
       if (r.transmittance < options_.termination_transmittance) {
         r.terminated = true;
       }
+      if (s.mlp_in.size() == kShadeBatch) shade();
     }
 
     // Next front: rays that sampled this round and neither terminated nor
@@ -443,6 +458,7 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
     }
     s.active.swap(s.next_active);
   }
+  if (!s.mlp_in.empty()) shade();
 
   // Finalize in row-major order: pixels, then the per-ray stat reductions
   // in exactly the scalar loop's Add() order (RunningStats merges are

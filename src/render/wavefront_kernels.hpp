@@ -12,7 +12,11 @@
 // replaces (the loops stay in mlp.cpp / field_source.cpp as the oracle).
 // Vectorisation is across the sample/lane dimension only, so each sample's
 // accumulation chain keeps the exact scalar op order — no FMA contraction,
-// no reassociation. The generic implementations live in
+// no reassociation. The one departure from the scalar loop is that
+// mlp_forward_fp32 leaves out hidden-layer terms whose input is +0 in a
+// whole lane group: each is w*(+0) = ±0 for finite w, so leaving it out
+// can only flip the sign of an exact-zero accumulator, which the ReLU
+// erases (see DenseLayerFp32). The generic implementations live in
 // wavefront_kernels_impl.inl and are instantiated once per ISA
 // (wavefront_kernels_{avx2,neon}.cpp) against the lane-ops wrappers in
 // common/simd_lanes_*.hpp.

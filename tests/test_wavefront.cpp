@@ -8,6 +8,8 @@
 #include "common/simd.hpp"
 #include "grid/occupancy.hpp"
 #include "grid/occupancy_octree.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "render/field_source.hpp"
 #include "render/render_engine.hpp"
 #include "render/skip_mode.hpp"
@@ -475,52 +477,115 @@ TEST_F(WavefrontTest, SimdGridTrilinearBitIdentical) {
   }
 }
 
+/// MLP inputs whose hidden activations are ReLU-sparse the way neighbouring
+/// rays' are: in each 16-sample chunk, either every sample copies one base
+/// input except lane 1, which copies another (h1 rows zero in the whole
+/// chunk, zero in all lanes but one, or dense), or all copy a third base,
+/// or every sample is drawn afresh.
+std::vector<std::array<float, kMlpInputDim>> ReluSparseInputs(std::size_t n,
+                                                              Rng& rng) {
+  const auto draw = [&rng] {
+    std::array<float, kMlpInputDim> x;
+    for (float& v : x) v = rng.Uniform(-1.f, 1.f);
+    return x;
+  };
+  const std::array<float, kMlpInputDim> a = draw(), b = draw(), c = draw();
+  std::vector<std::array<float, kMlpInputDim>> in(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    switch (s / 16 % 3) {
+      case 0: in[s] = s % 16 == 1 ? b : a; break;
+      case 1: in[s] = c; break;
+      default: in[s] = draw(); break;
+    }
+  }
+  return in;
+}
+
 TEST_F(WavefrontTest, SimdForwardBatchBitIdentical) {
   Rng rng(29);
-  for (const std::size_t n : kTailSizes) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<std::array<float, kMlpInputDim>> in(n);
-    for (auto& sample : in)
-      for (auto& v : sample) v = rng.Uniform(-1.f, 1.f);
-    std::vector<Vec3f> scalar_out(n), simd_out(n);
-    {
-      const ScopedSimdPath g(simd::Path::kScalar);
-      mlp_->ForwardBatch(in, scalar_out);
+  for (const bool sparse : {false, true}) {
+    for (const std::size_t n : kTailSizes) {
+      SCOPED_TRACE(std::string(sparse ? "relu-sparse" : "random") +
+                   " n=" + std::to_string(n));
+      std::vector<std::array<float, kMlpInputDim>> in(n);
+      if (sparse) {
+        in = ReluSparseInputs(n, rng);
+      } else {
+        for (auto& sample : in)
+          for (auto& v : sample) v = rng.Uniform(-1.f, 1.f);
+      }
+      std::vector<Vec3f> scalar_out(n), simd_out(n);
+      {
+        const ScopedSimdPath g(simd::Path::kScalar);
+        mlp_->ForwardBatch(in, scalar_out);
+      }
+      {
+        const ScopedSimdPath g(simd::BestSupportedPath());
+        mlp_->ForwardBatch(in, simd_out);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(scalar_out[i], simd_out[i]) << "sample " << i;
+        EXPECT_EQ(mlp_->Forward(in[i]), simd_out[i]) << "sample " << i;
+      }
+      {
+        const ScopedSimdPath g(simd::Path::kScalar);
+        mlp_->ForwardFp16Batch(in, scalar_out);
+      }
+      {
+        const ScopedSimdPath g(simd::BestSupportedPath());
+        mlp_->ForwardFp16Batch(in, simd_out);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(scalar_out[i], simd_out[i]) << "sample " << i;
+      }
     }
-    {
-      const ScopedSimdPath g(simd::BestSupportedPath());
-      mlp_->ForwardBatch(in, simd_out);
-    }
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(scalar_out[i], simd_out[i]);
-    {
-      const ScopedSimdPath g(simd::Path::kScalar);
-      mlp_->ForwardFp16Batch(in, scalar_out);
-    }
-    {
-      const ScopedSimdPath g(simd::BestSupportedPath());
-      mlp_->ForwardFp16Batch(in, simd_out);
-    }
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(scalar_out[i], simd_out[i]);
   }
 }
 
 TEST_F(WavefrontTest, SimdForcedPathRenderBitIdentical) {
   // End-to-end: a full wavefront render dispatched on the vector path must
-  // produce the same image/stats/counters as one forced to scalar.
-  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true,
+  // produce the same image/stats/counters as one forced to scalar, with
+  // the fp32 MLP (the shipped default) and the fp16 one.
+  for (const bool fp16 : {false, true}) {
+    SCOPED_TRACE(std::string("fp16=") + (fp16 ? "1" : "0"));
+    const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/fp16,
+                                   /*collect_counters=*/false);
+    RenderResult scalar_r, simd_r;
+    {
+      const ScopedSimdPath g(simd::Path::kScalar);
+      scalar_r = RenderWith(source, /*wavefront=*/true, fp16, 2);
+    }
+    {
+      const ScopedSimdPath g(simd::BestSupportedPath());
+      simd_r = RenderWith(source, /*wavefront=*/true, fp16, 2);
+    }
+    ExpectSameImage(scalar_r.image, simd_r.image);
+    ExpectSameStats(scalar_r.stats, simd_r.stats);
+    ExpectSameCounters(scalar_r.counters, simd_r.counters);
+  }
+}
+
+TEST_F(WavefrontTest, ShadeQueueFlushesMidMarchBitIdentical) {
+  // The wavefront marcher shades alpha survivors in full batches: the
+  // queue must have filled mid-march at least once in this frame, and the
+  // deferred composite must still equal the per-ray scalar render.
+  const obs::TraceLevel saved =
+      obs::SetActiveTraceLevel(obs::TraceLevel::kCounters);
+  obs::Histogram& shade_batch =
+      obs::MetricsRegistry::Global().GetHistogram("render/shade-batch");
+  shade_batch.ResetForTest();
+  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
                                  /*collect_counters=*/false);
-  RenderResult scalar_r, simd_r;
-  {
-    const ScopedSimdPath g(simd::Path::kScalar);
-    scalar_r = RenderWith(source, /*wavefront=*/true, /*fp16_mlp=*/true, 2);
-  }
-  {
-    const ScopedSimdPath g(simd::BestSupportedPath());
-    simd_r = RenderWith(source, /*wavefront=*/true, /*fp16_mlp=*/true, 2);
-  }
-  ExpectSameImage(scalar_r.image, simd_r.image);
-  ExpectSameStats(scalar_r.stats, simd_r.stats);
-  ExpectSameCounters(scalar_r.counters, simd_r.counters);
+  const RenderResult scalar = RenderWith(source, false, false, 1);
+  EXPECT_EQ(shade_batch.Snapshot().count, 0u);  // the scalar path never queues
+  const RenderResult wave = RenderWith(source, true, false, 2);
+  const obs::HistogramSnapshot batches = shade_batch.Snapshot();
+  obs::SetActiveTraceLevel(saved);
+  EXPECT_EQ(batches.max, 256u);
+  EXPECT_EQ(batches.sum, wave.stats.mlp_evals);
+  ExpectSameImage(scalar.image, wave.image);
+  ExpectSameStats(scalar.stats, wave.stats);
+  ExpectSameCounters(scalar.counters, wave.counters);
 }
 
 TEST(SkipModeTest, ResolveOverrideRules) {
