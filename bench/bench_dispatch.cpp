@@ -1,19 +1,15 @@
-// Microbenchmarks for the lock-free dispatch layer: the bounded queues and
-// object pool in isolation (common/mpmc_queue.hpp, common/spsc_queue.hpp,
-// common/object_pool.hpp) and the ThreadPool scheduling paths under each
-// SPNF_DISPATCH mode. These are the per-operation costs the serving-layer
-// numbers in bench_serving decompose into; the machine-readable entries go
-// to BENCH_dispatch.json:
+// Microbenchmarks for the lock-free dispatch layer: the bounded queues in
+// isolation (common/mpmc_queue.hpp, common/spsc_queue.hpp) and the
+// ThreadPool scheduling paths. These are the per-operation costs the
+// serving-layer numbers in bench_serving decompose into; the
+// machine-readable entries go to BENCH_dispatch.json:
 //   dispatch/mpmc-uncontended   N push+pop pairs, one thread
 //   dispatch/mpmc-contended     N items through 2 producers + 2 consumers
 //   dispatch/spsc-pipe          N items through a 2-thread pipe
-//   dispatch/pool-churn         N acquire/release cycles, one thread
-//   dispatch/pool-contended     N cycles split across 4 threads
-//   dispatch/region-<mode>      N blocking fork-joins (RunOnWorkers)
-//   dispatch/submit-<mode>      N detached single-slot regions (Submit)
-//   ratio/region-locked-vs-lockfree   locked / lockfree fork-join wall
+//   dispatch/region             N blocking fork-joins (RunOnWorkers)
+//   dispatch/submit             N detached single-slot regions (Submit)
 //
-// Overrides: ops=N (queue/pool op count), regions=N (fork-join count),
+// Overrides: ops=N (queue op count), regions=N (fork-join count),
 //            threads=N (pool workers; 0 = hardware concurrency)
 #include <atomic>
 #include <cstdio>
@@ -21,9 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "common/dispatch.hpp"
 #include "common/mpmc_queue.hpp"
-#include "common/object_pool.hpp"
 #include "common/spsc_queue.hpp"
 
 namespace {
@@ -44,7 +38,7 @@ int main(int argc, char** argv) {
   const auto threads = static_cast<unsigned>(args.GetInt("threads", 0));
 
   bench::PrintHeader("dispatch",
-                     "lock-free queue/pool/scheduler micro-costs");
+                     "lock-free queue/scheduler micro-costs");
   bench::JsonReport json("dispatch");
   std::size_t checksum = 0;  // defeats dead-code elimination
 
@@ -119,50 +113,12 @@ int main(int argc, char** argv) {
     json.Add("dispatch/spsc-pipe", ms, 2);
   }
 
-  {
-    ObjectPool<std::vector<std::size_t>> pool(16);
-    bench::WallTimer t;
-    for (std::size_t i = 0; i < ops; ++i) {
-      std::vector<std::size_t>* v = pool.Acquire();
-      checksum += v->capacity();
-      pool.Release(v);
-    }
-    const double ms = t.ElapsedMs();
-    PrintRow("pool churn", ms, ops);
-    json.Add("dispatch/pool-churn", ms, 1);
-  }
-
-  {
-    constexpr unsigned kChurners = 4;
-    ObjectPool<std::vector<std::size_t>> pool(16);
-    bench::WallTimer t;
-    std::vector<std::thread> workers;
-    for (unsigned w = 0; w < kChurners; ++w) {
-      workers.emplace_back([&] {
-        for (std::size_t i = 0; i < ops / kChurners; ++i) {
-          std::vector<std::size_t>* v = pool.Acquire();
-          pool.Release(v);
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    const double ms = t.ElapsedMs();
-    PrintRow("pool churn x4", ms, ops / kChurners * kChurners);
-    json.Add("dispatch/pool-contended", ms, kChurners);
-  }
-
   bench::PrintRule();
 
-  // Scheduler paths per dispatch mode: the blocking fork-join (the
-  // ParallelFor spine under every render) and the detached submit (the
-  // RenderService batch-issue path). Fresh pool per mode — the mode is
-  // captured at construction.
-  double region_ms[2] = {0.0, 0.0};
-  const dispatch::Mode modes[2] = {dispatch::Mode::kLocked,
-                                   dispatch::Mode::kLockFree};
-  for (int m = 0; m < 2; ++m) {
-    const dispatch::Mode prev = dispatch::SetActiveMode(modes[m]);
-    const char* mode_name = dispatch::ModeName(modes[m]);
+  // Scheduler paths: the blocking fork-join (the ParallelFor spine under
+  // every render) and the detached submit (the RenderService batch-issue
+  // path).
+  {
     ThreadPool pool(threads);
     const unsigned slots = pool.WorkerCount();
     std::atomic<std::size_t> body_runs{0};
@@ -174,12 +130,9 @@ int main(int argc, char** argv) {
           body_runs.fetch_add(1, std::memory_order_relaxed);
         });
       }
-      region_ms[m] = t.ElapsedMs();
-      char row[64];
-      std::snprintf(row, sizeof(row), "fork-join [%s]", mode_name);
-      PrintRow(row, region_ms[m], regions);
-      json.Add(std::string("dispatch/region-") + mode_name, region_ms[m],
-               slots);
+      const double ms = t.ElapsedMs();
+      PrintRow("fork-join", ms, regions);
+      json.Add("dispatch/region", ms, slots);
     }
 
     {
@@ -194,22 +147,10 @@ int main(int argc, char** argv) {
         std::this_thread::yield();
       }
       const double ms = t.ElapsedMs();
-      char row[64];
-      std::snprintf(row, sizeof(row), "detached submit [%s]", mode_name);
-      PrintRow(row, ms, regions);
-      json.Add(std::string("dispatch/submit-") + mode_name, ms, slots);
+      PrintRow("detached submit", ms, regions);
+      json.Add("dispatch/submit", ms, slots);
     }
     checksum += body_runs.load(std::memory_order_relaxed);
-    dispatch::SetActiveMode(prev);
-  }
-  if (region_ms[1] > 0.0) {
-    const double ratio = region_ms[0] / region_ms[1];
-    std::printf("fork-join speedup: locked %.2f ms -> lockfree %.2f ms "
-                "(%.2fx)\n", region_ms[0], region_ms[1], ratio);
-    // Ratio value rides in the wall_ms field (repo convention for ratio/
-    // entries); > 1 means the lock-free path wins.
-    json.Add("ratio/region-locked-vs-lockfree", ratio,
-             threads ? threads : ThreadPool::Global().WorkerCount());
   }
 
   bench::PrintRule();

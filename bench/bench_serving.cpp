@@ -29,12 +29,11 @@
 //     engine batches on one pool buys in throughput.
 //
 //   * batch-size-1 dispatch sweep — closed-loop single-request batches
-//     (max_batch=1, small frames) replayed under SPNF_DISPATCH=locked and
-//     =lockfree on fresh services. Small-batch serving is where
-//     per-request dispatch overhead is the largest slice of latency, so
-//     the throughput ratio (ratio/lockfree-vs-locked) is the lock-free
-//     admission path's headline number, and the lock-free p50
-//     submit->issue latency is recorded as serve/dispatch-overhead.
+//     (max_batch=1, small frames) on a fresh service. Small-batch serving
+//     is where per-request dispatch overhead is the largest slice of
+//     latency; the closed loop must shed nothing, and the p50
+//     submit->issue latency of a one-in-flight probe is recorded as
+//     serve/dispatch-overhead.
 //
 // Overrides: requests=N scenes=N res=R img=S threads=N capacity=N batch=N
 //            inflight=N (max_inflight_batches for the concurrent phases)
@@ -49,7 +48,6 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "common/dispatch.hpp"
 #include "core/pipeline.hpp"
 #include "obs/exporters.hpp"
 #include "render/field_source.hpp"
@@ -360,27 +358,19 @@ int main(int argc, char** argv) {
 
   // Batch-size-1 dispatch sweep: a closed-loop window of single-request
   // batches on one hot scene, small frames, so per-request dispatch cost
-  // (admission, wakeup, issue) is the largest controllable slice. One
-  // fresh service per SPNF_DISPATCH mode — the mode is captured at
-  // construction — with bit-identical scheduling by construction, so the
-  // throughput delta is pure dispatch overhead.
+  // (admission, wakeup, issue) is the largest controllable slice.
   const auto dispatch_requests =
       static_cast<std::size_t>(args.GetInt("drequests", 300));
   const int dispatch_img = args.GetInt("dimg", 16);
-  double batch1_rps[2] = {0.0, 0.0};
-  const dispatch::Mode modes[2] = {dispatch::Mode::kLocked,
-                                   dispatch::Mode::kLockFree};
-  for (int m = 0; m < 2; ++m) {
-    const dispatch::Mode prev = dispatch::SetActiveMode(modes[m]);
-    const char* mode_name = dispatch::ModeName(modes[m]);
-    RenderServiceOptions opts = service_opts;
-    opts.max_batch = 1;
-    RenderService service(opts);
-    RenderRequest small = base;
-    small.config.scene_id = scenes.front();
-    small.image_width = small.image_height = dispatch_img;
+  RenderServiceOptions batch1_opts = service_opts;
+  batch1_opts.max_batch = 1;
+  RenderRequest small = base;
+  small.config.scene_id = scenes.front();
+  small.image_width = small.image_height = dispatch_img;
+  // Runs the closed-loop window on `service` (built from batch1_opts);
+  // returns its throughput in requests/s.
+  const auto batch1_window = [&](RenderService& service) -> double {
     service.Submit(small).get();  // warm this service's pipeline handle
-
     constexpr std::size_t kWindow = 8;
     std::deque<std::future<RenderResponse>> window;
     bench::WallTimer timer;
@@ -398,24 +388,23 @@ int main(int argc, char** argv) {
       window.pop_front();
     }
     const double wall_ms = timer.ElapsedMs();
-    dispatch::SetActiveMode(prev);
-
+    return wall_ms > 0.0
+               ? static_cast<double>(dispatch_requests) * 1000.0 / wall_ms
+               : 0.0;
+  };
+  {
+    RenderService service(batch1_opts);
+    const double batch1_rps = batch1_window(service);
     const ServiceStatsSnapshot s = service.Stats();
-    batch1_rps[m] =
-        wall_ms > 0.0
-            ? static_cast<double>(dispatch_requests) * 1000.0 / wall_ms
-            : 0.0;
-    std::printf("batch-1 [%-8s] %9.1f rps | queue p50 %7.3f ms  "
-                "p99 %7.3f ms\n",
-                mode_name, batch1_rps[m], s.queue_latency.Percentile(50),
+    std::printf("batch-1 %9.1f rps | queue p50 %7.3f ms  p99 %7.3f ms\n",
+                batch1_rps, s.queue_latency.Percentile(50),
                 s.queue_latency.Percentile(99));
-    const std::string name = std::string("serve/batch1-") + mode_name;
-    json.AddPercentiles(name, s.total_latency.Percentile(50),
+    json.AddPercentiles("serve/batch1", s.total_latency.Percentile(50),
                         s.total_latency.Percentile(95),
-                        s.total_latency.Percentile(99), batch1_rps[m],
+                        s.total_latency.Percentile(99), batch1_rps,
                         effective_threads);
-    json.AddCounts(name + "/outcomes", s.completed, s.rejected, s.expired,
-                   effective_threads);
+    json.AddCounts("serve/batch1/outcomes", s.completed, s.rejected,
+                   s.expired, effective_threads);
     if (s.rejected + s.expired > 0) {
       std::fprintf(stderr,
                    "ERROR: batch-1 closed loop shed %llu request(s)\n",
@@ -423,31 +412,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (batch1_rps[0] > 0.0) {
-    const double ratio = batch1_rps[1] / batch1_rps[0];
-    std::printf("batch-1 dispatch: locked %.1f -> lockfree %.1f rps "
-                "(%.2fx)\n", batch1_rps[0], batch1_rps[1], ratio);
-    if (ratio < 1.0) {
-      std::printf("note: lock-free path not ahead — expected on single-core "
-                  "machines where admission never contends\n");
-    }
-    // Ratio value rides in the wall_ms field (repo convention).
-    json.Add("ratio/lockfree-vs-locked", ratio, effective_threads);
-  }
 
-  // Dispatch-overhead probe: strictly one request in flight on the
-  // lock-free path, so the queue is empty at every submit and the
-  // submit->issue latency is pure dispatch cost (admission + dispatcher
-  // wakeup + batch issue), with no render backlog mixed in.
+  // Dispatch-overhead probe: strictly one request in flight, so the queue
+  // is empty at every submit and the submit->issue latency is pure dispatch
+  // cost (admission + dispatcher wakeup + batch issue), with no render
+  // backlog mixed in.
   {
-    const dispatch::Mode prev =
-        dispatch::SetActiveMode(dispatch::Mode::kLockFree);
-    RenderServiceOptions opts = service_opts;
-    opts.max_batch = 1;
-    RenderService service(opts);
-    RenderRequest small = base;
-    small.config.scene_id = scenes.front();
-    small.image_width = small.image_height = dispatch_img;
+    RenderService service(batch1_opts);
     service.Submit(small).get();  // warm
     const std::size_t probes = std::max<std::size_t>(dispatch_requests / 4, 32);
     for (std::size_t i = 0; i < probes; ++i) {
@@ -455,7 +426,6 @@ int main(int argc, char** argv) {
       r.view = static_cast<int>(i) % std::max(r.n_views, 1);
       service.Submit(r).get();
     }
-    dispatch::SetActiveMode(prev);
     // Percentile over this service's completions (the warmup request is one
     // sample among `probes`; the median is robust to it).
     const double overhead_ms = service.Stats().queue_latency.Percentile(50);
@@ -474,34 +444,10 @@ int main(int argc, char** argv) {
   {
     const auto sweep = [&](obs::TraceLevel level) -> double {
       const obs::TraceLevel prev = obs::SetActiveTraceLevel(level);
-      RenderServiceOptions opts = service_opts;
-      opts.max_batch = 1;
-      RenderService service(opts);
-      RenderRequest small = base;
-      small.config.scene_id = scenes.front();
-      small.image_width = small.image_height = dispatch_img;
-      service.Submit(small).get();  // warm this service's pipeline handle
-      constexpr std::size_t kWindow = 8;
-      std::deque<std::future<RenderResponse>> window;
-      bench::WallTimer timer;
-      for (std::size_t i = 0; i < dispatch_requests; ++i) {
-        RenderRequest r = small;
-        r.view = static_cast<int>(i) % std::max(r.n_views, 1);
-        window.push_back(service.Submit(r));
-        if (window.size() >= kWindow) {
-          window.front().get();
-          window.pop_front();
-        }
-      }
-      while (!window.empty()) {
-        window.front().get();
-        window.pop_front();
-      }
-      const double wall_ms = timer.ElapsedMs();
+      RenderService service(batch1_opts);
+      const double rps = batch1_window(service);
       obs::SetActiveTraceLevel(prev);
-      return wall_ms > 0.0
-                 ? static_cast<double>(dispatch_requests) * 1000.0 / wall_ms
-                 : 0.0;
+      return rps;
     };
     const double rps_off = sweep(obs::TraceLevel::kOff);
     const double rps_counters = sweep(obs::TraceLevel::kCounters);

@@ -1,57 +1,18 @@
-// Dispatch-path selection for the scheduling layers (ThreadPool work
-// distribution, RenderService admission): lock-free bounded queues + pooled
-// state, or the original mutex+condvar path kept in-tree as the
-// differential oracle — the same scalar-reference-first rule the SIMD layer
-// follows (common/simd.hpp).
-//
-//   * The mode is process-global, resolved once from the SPNF_DISPATCH
-//     environment variable ("lockfree" | "locked"); absent or unparseable
-//     values resolve to lock-free (the default fast path).
-//   * Pools and services capture the mode AT CONSTRUCTION, so a running
-//     scheduler never changes its internals mid-flight; tests and benches
-//     flip the mode programmatically via SetActiveMode and construct fresh
-//     instances per mode.
-//   * Both modes are required to produce bit-identical results: images,
-//     RenderStats, ServiceStats outcomes and dispatch ranking — the
-//     serialization points (region completion order per dispatcher, the
-//     service dispatcher's ranked pop) are mode-independent by design, and
-//     the differential CI legs run the serve/parallel suites under both.
+// The scheduler has one implementation (common/parallel.hpp): lock-free
+// work tokens plus CAS admission in serve/. This constant survives only
+// because the repository benchmark (perfbench/) still reads the mode to
+// refuse non-default runs and to label its host block; delete it once the
+// benchmark stops reading it.
 #pragma once
-
-#include <string_view>
 
 #include "common/types.hpp"
 
 namespace spnerf::dispatch {
 
-/// Scheduler implementations. kLocked is the original mutex+condvar path —
-/// always available, and the correctness oracle kLockFree is differentially
-/// tested against.
-enum class Mode : u8 {
-  kLocked = 0,
-  kLockFree,
-};
+enum class Mode : u8 { kLockFree };
 
-/// Lower-case mode name ("locked", "lockfree") — used in bench entry names
-/// and the SPNF_DISPATCH override.
-[[nodiscard]] const char* ModeName(Mode mode);
+[[nodiscard]] constexpr Mode ActiveMode() { return Mode::kLockFree; }
 
-/// Parses a mode name; returns false (and leaves `out` untouched) for
-/// unknown strings. Case-sensitive: the override contract is lower-case.
-bool ParseModeName(std::string_view name, Mode& out);
-
-/// The mode newly constructed schedulers adopt. First call resolves the
-/// SPNF_DISPATCH override; later calls are one relaxed atomic load.
-[[nodiscard]] Mode ActiveMode();
-
-/// Forces the mode for schedulers constructed from now on (tests, benches,
-/// operational override). Returns the previously active mode, so callers
-/// can save/restore around a scoped override.
-Mode SetActiveMode(Mode mode);
-
-/// Pure resolution rule for an override string, exposed for tests:
-/// nullptr/empty -> kLockFree (default); a parseable name -> that mode;
-/// garbage -> kLockFree with a warning.
-[[nodiscard]] Mode ResolveOverride(const char* value);
+[[nodiscard]] constexpr const char* ModeName(Mode) { return "lockfree"; }
 
 }  // namespace spnerf::dispatch

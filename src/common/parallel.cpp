@@ -1,5 +1,7 @@
 #include "common/parallel.hpp"
 
+#include <memory>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -42,77 +44,41 @@ PoolMetrics& Metrics() {
 
 }  // namespace
 
-void ThreadPool::Region::ResetForDetached(std::function<void(unsigned)> fn,
-                                          std::function<void()> completion,
-                                          unsigned n) {
-  invoke = nullptr;
-  ctx = nullptr;
-  body = std::move(fn);
-  on_complete = std::move(completion);
-  slots = n;
-  next_slot.store(0, std::memory_order_relaxed);
-  remaining.store(n, std::memory_order_relaxed);
-  token_refs.store(0, std::memory_order_relaxed);
-  detached = true;
-  done = false;
-  trace_start_ns = obs::FullTracingEnabled() ? obs::TraceNowNs() : 0;
-  error_claimed.store(false, std::memory_order_relaxed);
-  error = nullptr;
-}
-
 ThreadPool::ThreadPool(unsigned workers, std::size_t token_capacity)
-    : mode_(dispatch::ActiveMode()), tokens_(token_capacity) {
+    : tokens_(token_capacity) {
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   worker_count_ = workers;
   threads_.reserve(workers - 1);
   for (unsigned i = 0; i + 1 < workers; ++i) {
-    if (mode_ == dispatch::Mode::kLockFree) {
-      threads_.emplace_back([this] { WorkerLoopLockFree(); });
-    } else {
-      threads_.emplace_back([this] { WorkerLoopLocked(); });
-    }
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  if (mode_ == dispatch::Mode::kLockFree) {
-    // seq_cst store: the Dekker partner of SubmitLockFree's live_regions_
-    // increment — every later Submit observes it and runs inline, every
-    // earlier Submit's region is covered by the live-region wait below.
-    stopping_.store(true, std::memory_order_seq_cst);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      work_ready_.notify_all();
-    }
-    // Drain every live region — blocking dispatchers finish on their own,
-    // and detached completions must run before the workers join. Workers
-    // keep pulling tokens until the live count hits zero (their exit
-    // condition), so queued regions drain even during shutdown.
-    region_waiters_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      region_done_.wait(lock, [this] {
-        return live_regions_.load(std::memory_order_seq_cst) == 0;
-      });
-    }
-    region_waiters_.fetch_sub(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      work_ready_.notify_all();  // parked workers wake to observe stopping_
-    }
-    for (std::thread& t : threads_) t.join();
-    return;
+  // seq_cst store: the Dekker partner of Submit's live_regions_ increment —
+  // every later Submit observes it and runs inline, every earlier Submit's
+  // region is covered by the live-region wait below.
+  stopping_.store(true, std::memory_order_seq_cst);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    work_ready_.notify_all();
   }
-  std::unique_lock<std::mutex> lock(mutex_);
-  stopping_.store(true, std::memory_order_relaxed);
-  work_ready_.notify_all();
   // Drain every live region — blocking dispatchers finish on their own, and
-  // detached completions must run before the workers join.
-  region_done_.wait(lock, [this] {
-    return live_regions_.load(std::memory_order_relaxed) == 0;
-  });
-  lock.unlock();
-  work_ready_.notify_all();
+  // detached completions must run before the workers join. Workers keep
+  // pulling tokens until the live count hits zero (their exit condition),
+  // so queued regions drain even during shutdown.
+  region_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    region_done_.wait(lock, [this] {
+      return live_regions_.load(std::memory_order_seq_cst) == 0;
+    });
+  }
+  region_waiters_.fetch_sub(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    work_ready_.notify_all();  // parked workers wake to observe stopping_
+  }
   for (std::thread& t : threads_) t.join();
 }
 
@@ -121,201 +87,47 @@ ThreadPool& ThreadPool::Global() {
   return pool;
 }
 
-void ThreadPool::Dispatch(void (*invoke)(void*, unsigned), void* ctx,
-                          unsigned slots) {
-  slots = std::min(std::max(slots, 1u), worker_count_);
-  if (slots == 1 || threads_.empty() || tls_current_pool == this) {
-    // Sequential fallback; nested regions on the same pool also land here
-    // so they cannot re-enter the scheduler from inside a slot. A different
-    // pool's worker dispatching here still fans out.
-    for (unsigned s = 0; s < slots; ++s) invoke(ctx, s);
-    return;
-  }
-  if (mode_ == dispatch::Mode::kLockFree) {
-    DispatchLockFree(invoke, ctx, slots);
-  } else {
-    DispatchLocked(invoke, ctx, slots);
-  }
-}
-
 void ThreadPool::Submit(unsigned slots, std::function<void(unsigned)> fn,
                         std::function<void()> on_complete) {
   slots = std::min(std::max(slots, 1u), worker_count_);
   if (obs::CountersEnabled()) Metrics().regions.Add();
-  if (mode_ == dispatch::Mode::kLockFree) {
-    if (threads_.empty()) {
-      // No workers to hand the region to: run it inline, completion
-      // included — the sequential fallback.
-      for (unsigned s = 0; s < slots; ++s) fn(s);
-      if (on_complete) on_complete();
+  if (!threads_.empty()) {
+    // Allocated before the live increment below, so a failed allocation
+    // leaves no live region for the destructor to wait on forever.
+    auto region = std::make_unique<Region>();
+    // Shutdown Dekker: expose the region in the live count with a seq_cst
+    // RMW *before* checking stopping_. Either this increment is
+    // seq_cst-before the destructor's stopping_ store — then the
+    // destructor's live-region wait covers the region — or the store came
+    // first and the load below observes it, and the region runs inline.
+    live_regions_.fetch_add(1, std::memory_order_seq_cst);
+    if (!stopping_.load(std::memory_order_seq_cst)) {
+      region->body = std::move(fn);
+      region->on_complete = std::move(on_complete);
+      region->slots = slots;
+      region->remaining.store(slots, std::memory_order_relaxed);
+      region->detached = true;
+      region->trace_start_ns =
+          obs::FullTracingEnabled() ? obs::TraceNowNs() : 0;
+      // Exactly one token per slot: detached regions have no dispatcher
+      // racing the cursor, so no token ever goes stale and the last
+      // finisher can free the record with nothing else referencing it.
+      PushTokens(region.release(), slots);
       return;
     }
-    Region* region = region_pool_.Acquire();
-    region->ResetForDetached(std::move(fn), std::move(on_complete), slots);
-    SubmitLockFree(region);
-    return;
+    DropLiveRegion();
   }
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (threads_.empty() || stopping_.load(std::memory_order_relaxed)) {
-    // No workers to hand the region to (single-threaded pool, or shutdown
-    // already draining): run it inline, completion included.
-    lock.unlock();
-    for (unsigned s = 0; s < slots; ++s) fn(s);
-    if (on_complete) on_complete();
-    return;
-  }
-  // The region pool is lock-free, so the mutex stays held: the stopping
-  // check and the region's publication remain one atomic step, exactly as
-  // in the original scheduler.
-  Region* region = region_pool_.Acquire();
-  region->ResetForDetached(std::move(fn), std::move(on_complete), slots);
-  SubmitLocked(region);
+  // No workers to hand the region to (single-threaded pool, or shutdown
+  // already draining): run it inline, completion included — the sequential
+  // fallback.
+  for (unsigned s = 0; s < slots; ++s) fn(s);
+  if (on_complete) on_complete();
 }
 
 // ---------------------------------------------------------------------------
-// Locked mode: the original mutex+condvar scheduler, kept as the differential
-// oracle for the lock-free path (SPNF_DISPATCH=locked). Region fields are
-// atomics shared with the lock-free mode but every access here happens under
-// mutex_, so relaxed loads/stores suffice — the mutex carries the ordering.
-// ---------------------------------------------------------------------------
-
-void ThreadPool::CloseLocked(Region* region) {
-  for (auto it = open_.begin(); it != open_.end(); ++it) {
-    if (*it == region) {
-      open_.erase(it);
-      return;
-    }
-  }
-}
-
-void ThreadPool::FinishSlotLocked(Region* region,
-                                  std::unique_lock<std::mutex>& lock) {
-  if (region->remaining.fetch_sub(1, std::memory_order_relaxed) != 1) return;
-  live_regions_.fetch_sub(1, std::memory_order_relaxed);
-  if (!region->detached) {
-    region->done = true;
-    region_done_.notify_all();
-    return;
-  }
-  if (region->trace_start_ns != 0 && obs::FullTracingEnabled()) {
-    obs::TraceEvent ev;
-    ev.category = "pool";
-    ev.name = "region-detached";
-    ev.start_ns = region->trace_start_ns;
-    ev.end_ns = obs::TraceNowNs();
-    ev.AddArg("slots", static_cast<i64>(region->slots));
-    obs::Emit(ev);
-  }
-  std::function<void()> completion = std::move(region->on_complete);
-  region->body = nullptr;  // drop captured state before the record is pooled
-  region_done_.notify_all();  // the destructor waits on live_regions_
-  lock.unlock();
-  if (completion) {
-    // Same contract as detached slot bodies: an escaped exception is
-    // dropped, never propagated into the worker loop (where it would
-    // std::terminate the process). Submitters guard their own callbacks.
-    try {
-      completion();
-    } catch (...) {
-    }
-  }
-  region_pool_.Release(region);
-  lock.lock();
-}
-
-void ThreadPool::WorkerLoopLocked() {
-  tls_current_pool = this;
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    work_ready_.wait(lock, [this] {
-      return stopping_.load(std::memory_order_relaxed) || !open_.empty();
-    });
-    if (open_.empty()) {
-      if (stopping_.load(std::memory_order_relaxed)) return;
-      continue;  // queued regions drain even during shutdown
-    }
-    // FIFO by region: the front region always has unclaimed slots (fully
-    // claimed regions leave the queue immediately), so claiming is O(1).
-    Region* region = open_.front();
-    const unsigned slot =
-        region->next_slot.fetch_add(1, std::memory_order_relaxed);
-    if (slot + 1 == region->slots) open_.pop_front();
-    lock.unlock();
-    // A throwing body must not unwind the region protocol (the published
-    // Region would be freed mid-use) or escape the worker (terminate):
-    // capture the first exception for the region's dispatcher to rethrow.
-    std::exception_ptr error;
-    try {
-      region->Run(slot);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    if (error && !region->error) region->error = error;
-    FinishSlotLocked(region, lock);
-  }
-}
-
-void ThreadPool::DispatchLocked(void (*invoke)(void*, unsigned), void* ctx,
-                                unsigned slots) {
-  if (obs::CountersEnabled()) Metrics().regions.Add();
-  obs::TraceSpan region_span("pool", "region");
-  region_span.AddArg("slots", static_cast<i64>(slots));
-  Region region;
-  region.invoke = invoke;
-  region.ctx = ctx;
-  region.slots = slots;
-  region.remaining.store(slots, std::memory_order_relaxed);
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  open_.push_back(&region);
-  live_regions_.fetch_add(1, std::memory_order_relaxed);
-  work_ready_.notify_all();
-  // The dispatching thread claims slots of its own region alongside the
-  // workers: progress never depends on a free pool thread, and a second
-  // dispatcher arriving while the pool is busy still drives its own region.
-  // It may itself belong to another pool; mark it as ours for the duration
-  // so same-pool nesting stays inline, then restore.
-  ThreadPool* const previous = tls_current_pool;
-  tls_current_pool = this;
-  while (region.next_slot.load(std::memory_order_relaxed) < region.slots) {
-    const unsigned slot =
-        region.next_slot.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= region.slots) break;  // a worker claimed the last slot first
-    if (slot + 1 == region.slots) CloseLocked(&region);
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      invoke(ctx, slot);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    if (error && !region.error) region.error = error;
-    FinishSlotLocked(&region, lock);
-  }
-  tls_current_pool = previous;
-  region_done_.wait(lock, [&region] { return region.done; });
-  // Rethrow only after every slot finished: the Region leaves the scheduler
-  // intact whichever thread threw.
-  if (region.error) {
-    std::exception_ptr error = region.error;
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::SubmitLocked(Region* region) {
-  // Called with mutex_ held.
-  open_.push_back(region);
-  live_regions_.fetch_add(1, std::memory_order_relaxed);
-  work_ready_.notify_all();
-}
-
-// ---------------------------------------------------------------------------
-// Lock-free mode. Work distribution is a bounded Vyukov MPMC ring of region
-// tokens plus per-region atomic claim cursors; the pool mutex survives only
-// as the condvar guard of the two park/wake slow paths (idle workers on
+// Work distribution is a bounded Vyukov MPMC ring of region tokens plus
+// per-region atomic claim cursors; the pool mutex survives only as the
+// condvar guard of the two park/wake slow paths (idle workers on
 // work_ready_, blocking dispatchers and the destructor on region_done_).
 // Both slow paths use the eventcount discipline: the would-be sleeper
 // announces itself with a seq_cst RMW, re-checks the condition, then parks
@@ -408,10 +220,10 @@ void ThreadPool::ProcessToken(Region* region) {
     // Publication to the dispatcher rides the release decrement below.
     region->error = error;
   }
-  FinishSlotLockFree(region);
+  FinishSlot(region);
 }
 
-void ThreadPool::FinishSlotLockFree(Region* region) {
+void ThreadPool::FinishSlot(Region* region) {
   const bool detached = region->detached;  // read before the frame can die
   // acq_rel release-side: publishes this slot's body effects (and any error
   // store) to whoever observes the latch hit zero; acquire side: the last
@@ -425,12 +237,11 @@ void ThreadPool::FinishSlotLockFree(Region* region) {
     WakeRegionWaiters();
     return;
   }
-  // Last slot of a detached region: every body has returned. Recycle the
-  // record before the completion runs so a completion that re-submits can
-  // reuse it.
+  // Last slot of a detached region: every body has returned, so nothing
+  // else references the record. Free it before the completion runs, so a
+  // completion that re-submits never holds two records at once.
   if (region->trace_start_ns != 0 && obs::FullTracingEnabled()) {
-    // Submission-to-last-slot lifetime of the detached region; read fields
-    // before Release hands the record to the next submitter.
+    // Submission-to-last-slot lifetime of the detached region.
     obs::TraceEvent ev;
     ev.category = "pool";
     ev.name = "region-detached";
@@ -440,9 +251,7 @@ void ThreadPool::FinishSlotLockFree(Region* region) {
     obs::Emit(ev);
   }
   std::function<void()> completion = std::move(region->on_complete);
-  region->body = nullptr;  // drop captured state before the record is pooled
-  region->on_complete = nullptr;
-  region_pool_.Release(region);
+  delete region;
   if (completion) {
     // Same contract as detached slot bodies: an escaped exception is
     // dropped, never propagated into the worker loop.
@@ -456,14 +265,14 @@ void ThreadPool::FinishSlotLockFree(Region* region) {
 
 void ThreadPool::DropLiveRegion() {
   // seq_cst: partners with the stopping_/live_regions_ handshakes in
-  // SubmitLockFree, the destructor and the worker exit condition.
+  // Submit, the destructor and the worker exit condition.
   if (live_regions_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
     WakeRegionWaiters();
   }
 }
 
 void ThreadPool::WakeRegionWaiters() {
-  // Eventcount producer side (see the mode banner above). The caller's
+  // Eventcount producer side (see the banner above). The caller's
   // event — latch zero, refs zero or live-count zero — is already
   // published; a parked waiter re-checks its predicate under the mutex.
   std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -473,7 +282,7 @@ void ThreadPool::WakeRegionWaiters() {
   }
 }
 
-void ThreadPool::WorkerLoopLockFree() {
+void ThreadPool::WorkerLoop() {
   tls_current_pool = this;
   int idle = 0;
   Region* region = nullptr;
@@ -518,8 +327,16 @@ void ThreadPool::WorkerLoopLockFree() {
   }
 }
 
-void ThreadPool::DispatchLockFree(void (*invoke)(void*, unsigned), void* ctx,
-                                  unsigned slots) {
+void ThreadPool::Dispatch(void (*invoke)(void*, unsigned), void* ctx,
+                          unsigned slots) {
+  slots = std::min(std::max(slots, 1u), worker_count_);
+  if (slots == 1 || threads_.empty() || tls_current_pool == this) {
+    // Sequential fallback; nested regions on the same pool also land here
+    // so they cannot re-enter the scheduler from inside a slot. A different
+    // pool's worker dispatching here still fans out.
+    for (unsigned s = 0; s < slots; ++s) invoke(ctx, s);
+    return;
+  }
   if (obs::CountersEnabled()) Metrics().regions.Add();
   obs::TraceSpan region_span("pool", "region");
   region_span.AddArg("slots", static_cast<i64>(slots));
@@ -579,31 +396,6 @@ void ThreadPool::DispatchLockFree(void (*invoke)(void*, unsigned), void* ctx,
   // Rethrow only after every slot finished: the Region leaves the scheduler
   // intact whichever thread threw.
   if (region.error) std::rethrow_exception(region.error);
-}
-
-void ThreadPool::SubmitLockFree(Region* region) {
-  // Shutdown Dekker: expose the region in the live count with a seq_cst RMW
-  // *before* checking stopping_. Either this increment is seq_cst-before
-  // the destructor's stopping_ store — then the destructor's live-region
-  // wait covers the region — or the store came first and the load below
-  // observes it, and the region runs inline instead.
-  live_regions_.fetch_add(1, std::memory_order_seq_cst);
-  if (stopping_.load(std::memory_order_seq_cst)) {
-    DropLiveRegion();
-    std::function<void(unsigned)> body = std::move(region->body);
-    std::function<void()> completion = std::move(region->on_complete);
-    const unsigned slots = region->slots;
-    region->body = nullptr;
-    region->on_complete = nullptr;
-    region_pool_.Release(region);
-    for (unsigned s = 0; s < slots; ++s) body(s);
-    if (completion) completion();
-    return;
-  }
-  // Exactly one token per slot: detached regions have no dispatcher racing
-  // the cursor, so no token ever goes stale and the last finisher can
-  // recycle the record with nothing else referencing it.
-  PushTokens(region, region->slots);
 }
 
 }  // namespace spnerf

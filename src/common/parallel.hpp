@@ -10,19 +10,12 @@
 // regardless of the worker count, the schedule, or what other regions the
 // pool is running concurrently.
 //
-// Work distribution runs in one of two modes, captured at pool construction
-// from the process-global SPNF_DISPATCH override (common/dispatch.hpp):
-//   * kLockFree (default): workers pull region tokens from a bounded
-//     Vyukov MPMC ring (common/mpmc_queue.hpp) and claim slots through
-//     per-region atomic cursors; detached region records come from a
-//     fixed-slab pool instead of the heap. The pool mutex+condvar survive
-//     only as the sleep/wake slow path (eventcount-style spin-then-park),
-//     so dispatching onto an already-awake pool takes zero lock
-//     acquisitions. See ARCHITECTURE.md, "Dispatch path", for the full
-//     memory-order and liveness argument.
-//   * kLocked: the original mutex+condvar scheduler, kept in-tree as the
-//     differential oracle (the scalar-reference-first rule the SIMD layer
-//     established). Both modes produce bit-identical results.
+// Workers pull region tokens from a bounded Vyukov MPMC ring
+// (common/mpmc_queue.hpp) and claim slots through per-region atomic
+// cursors. The pool mutex+condvar survive only as the sleep/wake slow path
+// (eventcount-style spin-then-park), so dispatching onto an already-awake
+// pool takes zero lock acquisitions. See ARCHITECTURE.md, "Dispatch path",
+// for the full memory-order and liveness argument.
 #pragma once
 
 #include <algorithm>
@@ -38,9 +31,8 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/dispatch.hpp"
 #include "common/mpmc_queue.hpp"
-#include "common/object_pool.hpp"
+#include "common/types.hpp"
 
 namespace spnerf {
 
@@ -61,8 +53,7 @@ class ThreadPool {
   /// `workers = 0` sizes the pool to std::thread::hardware_concurrency().
   /// `token_capacity` bounds the lock-free work-token ring; tokens beyond
   /// it spill to a mutex-guarded overflow list (correct, slower — tests
-  /// shrink the ring to force that path). The dispatch mode is captured
-  /// here from dispatch::ActiveMode() and never changes for this pool.
+  /// shrink the ring to force that path).
   explicit ThreadPool(unsigned workers = 0,
                       std::size_t token_capacity = kDefaultTokenCapacity);
   /// Waits for every live region (blocking and detached) to finish, then
@@ -75,9 +66,6 @@ class ThreadPool {
 
   /// Parallel slots available to a region (pool threads + calling thread).
   [[nodiscard]] unsigned WorkerCount() const { return worker_count_; }
-
-  /// The work-distribution mode this pool was constructed with.
-  [[nodiscard]] dispatch::Mode Mode() const { return mode_; }
 
   /// Parallelism a worker cap resolves to: 0 means every worker, anything
   /// else clamps to WorkerCount(). The one rule shared by ParallelFor, the
@@ -112,8 +100,8 @@ class ThreadPool {
   /// the worker that finishes the last slot, after every slot has returned.
   /// `slots` is clamped to WorkerCount(), exactly like RunOnWorkers — slots
   /// are parallelism seats, not work items; hand out work inside fn via a
-  /// shared cursor. The region record itself comes from a fixed slab pool
-  /// (heap only past kRegionPoolCapacity concurrent detached regions).
+  /// shared cursor. The region record is heap-allocated and freed by the
+  /// worker that finishes its last slot, before `on_complete` runs.
   /// When the pool has no worker threads (WorkerCount() == 1) the region —
   /// completion included — runs inline on the calling thread before Submit
   /// returns: the sequential fallback, same results, no asynchrony.
@@ -121,13 +109,11 @@ class ThreadPool {
               std::function<void()> on_complete = {});
 
   static constexpr std::size_t kDefaultTokenCapacity = 1024;
-  static constexpr std::size_t kRegionPoolCapacity = 64;
 
  private:
-  /// One live parallel region. In lock-free mode the claim cursor, the
-  /// completion latch and the token refcount are raced on directly; in
-  /// locked mode the same fields are only ever touched under the pool
-  /// mutex (relaxed atomic ops — the mutex carries the ordering).
+  /// One live parallel region. The claim cursor, the completion latch and
+  /// the token refcount are raced on directly by the dispatcher and the
+  /// workers.
   struct Region {
     void (*invoke)(void*, unsigned) = nullptr;  // blocking regions
     void* ctx = nullptr;
@@ -136,13 +122,12 @@ class ThreadPool {
     unsigned slots = 0;
     std::atomic<unsigned> next_slot{0};    // claim cursor
     std::atomic<unsigned> remaining{0};    // completion latch
-    /// Lock-free mode: work tokens in flight that still name this region.
+    /// Work tokens in flight that still name this region.
     /// A blocking region's stack frame may not be abandoned until every
     /// token was consumed (tokens the dispatcher raced past go stale and
     /// are dropped on pop, but the pop itself dereferences the region).
     std::atomic<unsigned> token_refs{0};
     bool detached = false;
-    bool done = false;  // locked mode, blocking regions: completion flag
     /// Trace-clock stamp of the detached region's submission; 0 = tracing
     /// off. The last finisher emits the region-lifetime span from it.
     u64 trace_start_ns = 0;
@@ -153,26 +138,10 @@ class ThreadPool {
     std::exception_ptr error;
 
     void Run(unsigned slot) { invoke ? invoke(ctx, slot) : body(slot); }
-    /// Recycles a pooled record for a new detached region.
-    void ResetForDetached(std::function<void(unsigned)> fn,
-                          std::function<void()> completion, unsigned n);
   };
 
   void Dispatch(void (*invoke)(void*, unsigned), void* ctx, unsigned slots);
-
-  // --- locked mode (the differential oracle; see parallel.cpp) ---
-  void DispatchLocked(void (*invoke)(void*, unsigned), void* ctx,
-                      unsigned slots);
-  void SubmitLocked(Region* region);
-  void CloseLocked(Region* region);
-  void FinishSlotLocked(Region* region, std::unique_lock<std::mutex>& lock);
-  void WorkerLoopLocked();
-
-  // --- lock-free mode ---
-  void DispatchLockFree(void (*invoke)(void*, unsigned), void* ctx,
-                        unsigned slots);
-  void SubmitLockFree(Region* region);
-  void WorkerLoopLockFree();
+  void WorkerLoop();
   /// Pushes `count` work tokens naming `region` (ring first, mutex-guarded
   /// overflow when full) and wakes sleeping workers.
   void PushTokens(Region* region, unsigned count);
@@ -181,7 +150,7 @@ class ThreadPool {
   /// Claims and runs one slot of `region` (drops the token if the cursor
   /// is already exhausted), then finishes the slot.
   void ProcessToken(Region* region);
-  void FinishSlotLockFree(Region* region);
+  void FinishSlot(Region* region);
   void DropTokenRef(Region* region);
   /// Decrements the live-region count; wakes region waiters on zero.
   void DropLiveRegion();
@@ -191,26 +160,23 @@ class ThreadPool {
   void WakeRegionWaiters();
 
   unsigned worker_count_ = 1;
-  dispatch::Mode mode_ = dispatch::Mode::kLockFree;
   std::vector<std::thread> threads_;  // worker_count_ - 1 entries
 
   std::mutex mutex_;
   std::condition_variable work_ready_;   // workers: work exists
   std::condition_variable region_done_;  // dispatchers + destructor
-  std::deque<Region*> open_;  // locked mode: regions with unclaimed slots
   std::atomic<std::size_t> live_regions_{0};  // enqueued, not fully finished
   std::atomic<bool> stopping_{false};
 
-  // Lock-free mode state. The token ring carries all steady-state work
-  // distribution; `overflow_` (guarded by mutex_) absorbs pushes when the
-  // ring is full; the two counters below drive the eventcount sleep/wake
-  // protocol (see parallel.cpp for the fence argument).
+  // The token ring carries all steady-state work distribution; `overflow_`
+  // (guarded by mutex_) absorbs pushes when the ring is full; the two
+  // counters below drive the eventcount sleep/wake protocol (see
+  // parallel.cpp for the fence argument).
   MpmcQueue<Region*> tokens_;
   std::deque<Region*> overflow_;               // guarded by mutex_
   std::atomic<std::size_t> overflow_count_{0};
   std::atomic<int> sleepers_{0};          // workers parked / about to park
   std::atomic<int> region_waiters_{0};    // parked on region_done_
-  ObjectPool<Region> region_pool_{kRegionPoolCapacity};
 };
 
 /// Invokes fn(begin, end) on contiguous chunks of [0, n) across the pool's

@@ -72,7 +72,6 @@ struct RenderEngineOptions {
 class RenderEngine {
  public:
   explicit RenderEngine(RenderEngineOptions options = {});
-  ~RenderEngine();
 
   [[nodiscard]] const RenderEngineOptions& Options() const { return options_; }
 
@@ -134,16 +133,6 @@ class RenderEngine {
   // Owned pool for explicit oversubscription (max_threads beyond the global
   // pool), built once per engine rather than per render call.
   std::unique_ptr<ThreadPool> dedicated_;
-  // Recycled batch records (common/object_pool.hpp): PrepareBatch acquires
-  // one per batch, the batch's last shared_ptr reference releases it. The
-  // record keeps its grown task/shard/latch storage between uses, so the
-  // steady-state serving path (one SubmitBatch per dispatched request)
-  // stops allocating a fresh BatchState per request. Held by shared_ptr
-  // because each batch's deleter co-owns the pool: the last in-flight batch
-  // may finish on a worker after the engine itself was destroyed (the
-  // engine has never been required to outlive its batches — only the
-  // sources, the MLPs and the thread pool are).
-  mutable std::shared_ptr<ObjectPool<BatchState>> batch_pool_;
 };
 
 }  // namespace spnerf

@@ -1,8 +1,8 @@
 // Empty-space-skip structure selection for the ray marchers: the
 // hierarchical occupancy octree (multi-level DDA skipping), or the original
 // flat per-supervoxel CoarseOccupancy probe kept in-tree as the
-// differential oracle — the same scalar-reference-first rule the SIMD and
-// dispatch layers follow (common/simd.hpp, common/dispatch.hpp).
+// differential oracle — the same scalar-reference-first rule the SIMD layer
+// follows (common/simd.hpp).
 //
 //   * The mode is process-global, resolved once from the SPNF_SKIP
 //     environment variable ("octree" | "flat"); absent or unparseable

@@ -89,12 +89,6 @@ u32 OutcomeTagId(RequestStatus status) {
   return ids[static_cast<std::size_t>(status)];
 }
 
-u32 ModeTagId(dispatch::Mode mode) {
-  static const u32 ids[2] = {obs::InternString("locked"),
-                             obs::InternString("lockfree")};
-  return ids[static_cast<std::size_t>(mode)];
-}
-
 /// Chunk size of the incremental full-queue expiry sweep at admission: the
 /// bounded work an admit pays per attempt to free a seat.
 constexpr std::size_t kAdmitSweepChunk = 32;
@@ -121,8 +115,7 @@ const char* RequestStatusName(RequestStatus status) {
   return "?";
 }
 
-/// One admitted request waiting in the queue. Pooled: entries recycle
-/// through pending_pool_, keeping their grown request/key storage.
+/// One admitted request waiting in the queue.
 struct RenderService::Pending {
   RenderRequest request;
   std::promise<RenderResponse> promise;
@@ -131,8 +124,8 @@ struct RenderService::Pending {
   /// Absolute deadline; Clock::time_point::max() when none.
   Clock::time_point deadline = Clock::time_point::max();
   u64 sequence = 0;
-  /// Trace correlation id (flow of every span this request emits). Assigned
-  /// at every admission; 0 only on recycled entries not yet re-armed.
+  /// Trace correlation id (flow of every span this request emits), assigned
+  /// at admission.
   u64 request_id = 0;
   /// Trace-clock submit stamp (obs::TraceNowNs — NOT the scheduling clock),
   /// recorded only under full tracing; 0 otherwise. Start of the request's
@@ -157,10 +150,6 @@ struct RenderService::Pending {
     return sequence < other.sequence;
   }
 };
-
-void RenderService::PendingDeleter::operator()(Pending* entry) const {
-  if (entry != nullptr && pool != nullptr) pool->Release(entry);
-}
 
 /// One issued engine batch. Owns everything the render references until the
 /// completion half runs: the coalesced requests, the acquired pipeline and
@@ -197,13 +186,6 @@ RenderService::RenderService(RenderServiceOptions options)
       clock_(options.clock ? *options.clock : SystemClock()),
       engine_(options.engine),
       governor_(options.ladder, options.queue_capacity),
-      mode_(dispatch::ActiveMode()),
-      // Enough recycled entries for the full queue plus every coalesced
-      // in-flight batch; past that Acquire degrades to the heap, never
-      // fails.
-      pending_pool_(std::make_shared<ObjectPool<Pending>>(
-          options.queue_capacity +
-          options.max_batch * options.max_inflight_batches + 8)),
       inbox_(std::max<std::size_t>(options.queue_capacity, 1)),
       paused_(options.start_paused) {
   SPNERF_CHECK_MSG(options_.queue_capacity > 0,
@@ -228,24 +210,10 @@ RenderService::~RenderService() {
   // after the dispatcher's final drain: their futures must still resolve.
   Pending* raw = nullptr;
   while (inbox_.TryPop(raw)) {
-    PendingHandle entry(raw, PendingDeleter{pending_pool_});
+    PendingHandle entry(raw);
     queued_count_.fetch_sub(1, std::memory_order_relaxed);
     Shed(*entry, RequestStatus::kRejected);
   }
-}
-
-RenderService::PendingHandle RenderService::AcquirePending() {
-  Pending* entry = pending_pool_->Acquire();
-  // Re-arm the recycled entry: the promise's previous shared state was
-  // consumed by its last use; request/key fields are overwritten by the
-  // caller (their string/vector storage keeps its capacity — the win).
-  entry->promise = std::promise<RenderResponse>{};
-  entry->deadline = Clock::time_point::max();
-  entry->sequence = 0;
-  entry->request_id = 0;
-  entry->trace_submit_ns = 0;
-  entry->trace_key_id = 0;
-  return PendingHandle(entry, PendingDeleter{pending_pool_});
 }
 
 void RenderService::Shed(Pending& entry, RequestStatus status) {
@@ -276,7 +244,6 @@ void RenderService::Shed(Pending& entry, RequestStatus status) {
     ev.flow = entry.request_id;
     ev.AddStrArg("priority", PriorityTagId(entry.request.priority));
     ev.AddStrArg("key", entry.trace_key_id);
-    ev.AddStrArg("mode", ModeTagId(mode_));
     ev.AddStrArg("outcome", OutcomeTagId(status));
     obs::Emit(ev);
   }
@@ -291,10 +258,9 @@ void RenderService::DecKeyCountLocked(const std::string& key) {
 void RenderService::DrainInboxLocked() {
   Pending* raw = nullptr;
   while (inbox_.TryPop(raw)) {
-    PendingHandle entry(raw, PendingDeleter{pending_pool_});
+    PendingHandle entry(raw);
     // Inbox FIFO order is submission order per producer, so assigning the
-    // sequence here preserves the FIFO tie-break a locked-mode submit would
-    // have gotten under the mutex.
+    // sequence here preserves the FIFO tie-break.
     entry->sequence = next_sequence_++;
     ++key_counts_[entry->batch_key];
     queue_.push_back(std::move(entry));
@@ -351,7 +317,7 @@ void RenderService::WakeDispatcher() {
 }
 
 std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
-  PendingHandle entry = AcquirePending();
+  auto entry = std::make_unique<Pending>();
   entry->request = std::move(request);
   // Execution policy is service-owned: normalising the ignored engine
   // fields keeps requests differing only in them on one batch key and one
@@ -384,34 +350,32 @@ std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
     return future;
   }
 
-  if (mode_ == dispatch::Mode::kLockFree) {
-    // Admission fast path: claim a seat below capacity by CAS and ride the
-    // inbox ring to the dispatcher — no mutex anywhere. The dispatcher
-    // assigns the sequence when it folds the inbox in, which preserves
-    // submission order per producer (inbox is FIFO).
-    std::size_t n = queued_count_.load(std::memory_order_relaxed);
-    while (n < options_.queue_capacity) {
-      if (!queued_count_.compare_exchange_weak(n, n + 1,
-                                               std::memory_order_relaxed)) {
-        continue;
-      }
-      Pending* raw = entry.release();
-      if (!inbox_.TryPush(raw)) {
-        // Unreachable in steady state — the seat count bounds inbox
-        // occupancy by its capacity — but tolerate it: return the seat and
-        // take the locked path.
-        entry = PendingHandle(raw, PendingDeleter{pending_pool_});
-        queued_count_.fetch_sub(1, std::memory_order_relaxed);
-        break;
-      }
-      stats_.RecordSubmitted(n + 1);
-      WakeDispatcher();
-      return future;
+  // Admission fast path: claim a seat below capacity by CAS and ride the
+  // inbox ring to the dispatcher — no mutex anywhere. The dispatcher
+  // assigns the sequence when it folds the inbox in, which preserves
+  // submission order per producer (inbox is FIFO).
+  std::size_t n = queued_count_.load(std::memory_order_relaxed);
+  while (n < options_.queue_capacity) {
+    if (!queued_count_.compare_exchange_weak(n, n + 1,
+                                             std::memory_order_relaxed)) {
+      continue;
     }
-    // Queue full: shed/evict decisions need the ranked queue — fall
-    // through to the locked slow path (which still resolves every shed
-    // future before returning).
+    Pending* raw = entry.release();
+    if (!inbox_.TryPush(raw)) {
+      // Full or transiently busy: the seat count bounds inbox occupancy by
+      // its capacity, but a cell can still be mid-pop. Return the seat and
+      // take the locked path.
+      entry.reset(raw);
+      queued_count_.fetch_sub(1, std::memory_order_relaxed);
+      break;
+    }
+    stats_.RecordSubmitted(n + 1);
+    WakeDispatcher();
+    return future;
   }
+  // Queue full: shed/evict decisions need the ranked queue — take the
+  // locked slow path (which still resolves every shed future before
+  // returning).
   return SubmitLocked(std::move(entry), std::move(future));
 }
 
@@ -522,7 +486,7 @@ void RenderService::Drain() {
 
 std::size_t RenderService::QueueDepth() const {
   // Admitted and not yet dispatched or shed, inbox included — maintained
-  // atomically in both modes, so no lock.
+  // atomically, so no lock.
   return queued_count_.load(std::memory_order_relaxed);
 }
 
@@ -623,7 +587,6 @@ void RenderService::CompleteBatch(
         ev.flow = entry.request_id;
         ev.AddStrArg("priority", PriorityTagId(entry.request.priority));
         ev.AddStrArg("key", entry.trace_key_id);
-        ev.AddStrArg("mode", ModeTagId(mode_));
         ev.AddStrArg("outcome", OutcomeTagId(RequestStatus::kCompleted));
         obs::Emit(ev);
       }
@@ -809,8 +772,8 @@ void RenderService::DispatcherLoop() {
           // Quality-ladder decision, made once per batch at issue time. A
           // pure function of (priority, remaining deadline on the service
           // clock, queue depth now, cost model), so a staged backlog
-          // replays the identical rung sequence in any dispatch mode at
-          // any worker count. A disabled governor always answers kFull.
+          // replays the identical rung sequence at any worker count. A
+          // disabled governor always answers kFull.
           const std::size_t depth_at_issue =
               queued_count_.load(std::memory_order_relaxed);
           const auto decide_rung = [&](const Pending& e) {

@@ -16,14 +16,12 @@
 //     status) if the incoming one outranks it; otherwise the incoming
 //     request is rejected immediately. The service never grows an unbounded
 //     backlog — overload turns into rejections, not latency collapse.
-//     Under the default lock-free dispatch mode (SPNF_DISPATCH, captured at
-//     construction), admission with a free seat is lock-free: the entry —
-//     recycled from a fixed slab pool, never a fresh allocation — claims a
-//     seat by CAS on the queued count and rides a bounded MPMC inbox ring
-//     to the dispatcher, which folds the inbox into the ranked queue at its
-//     own serialization point. Only a full queue (shed/evict decisions) or
-//     the locked oracle mode takes the service mutex, so overflow futures
-//     still resolve before Submit returns in every mode.
+//     Admission with a free seat is lock-free: the entry claims a seat by
+//     CAS on the queued count and rides a bounded MPMC inbox ring to the
+//     dispatcher, which folds the inbox into the ranked queue at its own
+//     serialization point. Only a full queue (shed/evict decisions) or a
+//     transiently busy inbox push takes the service mutex, so overflow
+//     futures still resolve before Submit returns.
 //   * Scheduling order. Highest priority first; within a priority class,
 //     earliest absolute deadline first (requests without a deadline sort
 //     last); FIFO as the tie-break. Deterministic for a fixed submit order.
@@ -76,9 +74,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/dispatch.hpp"
 #include "common/mpmc_queue.hpp"
-#include "common/object_pool.hpp"
 #include "core/pipeline_repository.hpp"
 #include "serve/quality_governor.hpp"
 #include "serve/service_stats.hpp"
@@ -220,28 +216,11 @@ class RenderService {
   struct Pending;
   struct InflightBatch;
 
-  /// Routes recycled entries back to the slab pool (pure heap strays are
-  /// deleted there). Co-owns the pool: the last handles of a batch die on a
-  /// pool worker when the InflightBatch's final reference drops, which can
-  /// happen after the service destructor was already unblocked — the
-  /// captured shared_ptr keeps the slab alive until then (same contract as
-  /// the engine's batch pool). Out-of-line call operator: Pending is
-  /// complete only in the .cpp.
-  struct PendingDeleter {
-    std::shared_ptr<ObjectPool<Pending>> pool;
-    void operator()(Pending* entry) const;
-  };
-  /// Owning handle over a pooled Pending. Destruction recycles the entry —
-  /// its grown string/config storage included — instead of freeing it.
-  using PendingHandle = std::unique_ptr<Pending, PendingDeleter>;
+  using PendingHandle = std::unique_ptr<Pending>;
 
-  /// Pops a recycled entry from pending_pool_ (heap fallback past the cap)
-  /// and re-arms its promise.
-  [[nodiscard]] PendingHandle AcquirePending();
-  /// Admission slow path (and the whole locked-mode path): folds the inbox
+  /// Admission slow path, taken when the queue looks full: folds the inbox
   /// into the ranked queue under mutex_, then seats, evicts or rejects the
-  /// entry exactly like the pre-lock-free service did. Every shed future is
-  /// resolved before this returns.
+  /// entry. Every shed future is resolved before this returns.
   std::future<RenderResponse> SubmitLocked(PendingHandle entry,
                                            std::future<RenderResponse> future);
   /// Producer half of the dispatcher eventcount: publish (the inbox push),
@@ -296,25 +275,15 @@ class RenderService {
   /// Quality-ladder policy (options_.ladder); a disabled governor always
   /// answers kFull.
   QualityGovernor governor_;
-  /// Dispatch mode, captured once at construction (common/dispatch.hpp).
-  /// kLocked routes every Submit through SubmitLocked — the pre-lock-free
-  /// mutex path, kept as the differential oracle.
-  dispatch::Mode mode_;
 
-  /// Recycled request entries: admission acquires, the handle's deleter
-  /// releases. Sized for the queue plus every coalesced in-flight batch, so
-  /// the steady-state serving path never allocates per request. Held by
-  /// shared_ptr because every handle's deleter co-owns it (see
-  /// PendingDeleter).
-  std::shared_ptr<ObjectPool<Pending>> pending_pool_;
   /// Lock-free admission inbox (bounded MPMC ring). Fast-path Submit pushes
   /// raw entry pointers here; only the dispatcher (or a slow-path Submit)
   /// pops, folding them into queue_ under mutex_.
   MpmcQueue<Pending*> inbox_;
   /// Entries admitted and not yet dispatched or shed == inbox occupancy +
-  /// queue_.size(). The admission capacity gate in both modes: a seat is
-  /// claimed by CAS below queue_capacity, so the lock-free fast path and
-  /// the locked slow path share one source of truth.
+  /// queue_.size(). The one admission capacity gate: a seat is claimed by
+  /// CAS below queue_capacity, so the lock-free fast path and the locked
+  /// slow path share one source of truth.
   std::atomic<std::size_t> queued_count_{0};
   /// Dispatcher parked-announcement flag for WakeDispatcher's eventcount.
   std::atomic<bool> dispatcher_parked_{false};

@@ -1,31 +1,17 @@
 #include "common/parallel.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <memory>
 #include <gtest/gtest.h>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "common/dispatch.hpp"
-
 namespace spnerf {
 namespace {
-
-/// Flips the process-global dispatch mode for one scope; pools constructed
-/// inside pick it up, everything after sees the previous mode again.
-class ScopedDispatchMode {
- public:
-  explicit ScopedDispatchMode(dispatch::Mode mode)
-      : previous_(dispatch::SetActiveMode(mode)) {}
-  ~ScopedDispatchMode() { dispatch::SetActiveMode(previous_); }
-  ScopedDispatchMode(const ScopedDispatchMode&) = delete;
-  ScopedDispatchMode& operator=(const ScopedDispatchMode&) = delete;
-
- private:
-  dispatch::Mode previous_;
-};
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   const std::size_t n = 100000;
@@ -257,42 +243,81 @@ TEST(ThreadPool, ThrowingRegionBodyPropagatesWithoutWedgingThePool) {
   EXPECT_EQ(total.load(), 4);
 }
 
-TEST(ThreadPool, BothDispatchModesCoverEverySlotAndIndex) {
-  // The differential contract in miniature: a pool constructed under each
-  // SPNF_DISPATCH mode runs the same blocking, detached and ParallelFor
-  // workloads to the same effects. (CI additionally runs the whole suite
-  // under each mode via the environment override.)
-  for (dispatch::Mode mode :
-       {dispatch::Mode::kLocked, dispatch::Mode::kLockFree}) {
-    ScopedDispatchMode scoped(mode);
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.Mode(), mode);
+TEST(ThreadPool, MixedWorkloadsOnOnePoolCoverEverySlotAndIndex) {
+  // Blocking, detached and ParallelFor regions back to back on one pool:
+  // each runs every slot or index exactly once.
+  ThreadPool pool(4);
 
-    std::atomic<int> slot_total{0};
-    for (int round = 0; round < 20; ++round) {
-      pool.RunOnWorkers(4, [&](unsigned) { ++slot_total; });
-    }
-    EXPECT_EQ(slot_total.load(), 80) << dispatch::ModeName(mode);
+  std::atomic<int> slot_total{0};
+  for (int round = 0; round < 20; ++round) {
+    pool.RunOnWorkers(4, [&](unsigned) { ++slot_total; });
+  }
+  EXPECT_EQ(slot_total.load(), 80);
 
-    std::atomic<int> detached_total{0};
-    std::promise<void> done;
-    pool.Submit(
-        4, [&](unsigned) { ++detached_total; },
-        [&] { done.set_value(); });
-    done.get_future().wait();
-    EXPECT_EQ(detached_total.load(), 4) << dispatch::ModeName(mode);
+  std::atomic<int> detached_total{0};
+  std::promise<void> done;
+  pool.Submit(
+      4, [&](unsigned) { ++detached_total; }, [&] { done.set_value(); });
+  done.get_future().wait();
+  EXPECT_EQ(detached_total.load(), 4);
 
-    const std::size_t n = 20000;
-    std::vector<int> hits(n, 0);
-    ParallelFor(
-        n,
-        [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) ++hits[i];
-        },
-        /*max_threads=*/0, &pool);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i], 1) << dispatch::ModeName(mode) << " index " << i;
-    }
+  const std::size_t n = 20000;
+  std::vector<int> hits(n, 0);
+  ParallelFor(
+      n,
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) ++hits[i];
+      },
+      /*max_threads=*/0, &pool);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
+}
+
+TEST(ThreadPool, CompletionResubmittingToTheSamePoolCompletesBoth) {
+  // The first region's record is freed before its completion runs; the
+  // completion's Submit allocates a fresh one on a worker of the same pool.
+  ThreadPool pool(4);
+  std::atomic<int> first_slots{0};
+  std::atomic<int> second_slots{0};
+  std::promise<void> done;
+  pool.Submit(
+      4, [&](unsigned) { ++first_slots; },
+      [&] {
+        pool.Submit(
+            4, [&](unsigned) { ++second_slots; },
+            [&] { done.set_value(); });
+      });
+  done.get_future().wait();
+  EXPECT_EQ(first_slots.load(), 4);
+  EXPECT_EQ(second_slots.load(), 4);
+}
+
+TEST(ThreadPool, DestroyingThePoolRunsEveryQueuedCompletionOnce) {
+  // One worker thread is held by a gate region while detached regions queue
+  // behind it; the pool is destroyed with all of them still queued. The
+  // destructor drains every region, and each completion runs exactly once.
+  constexpr int kRegions = 32;
+  std::vector<std::atomic<int>> completions(kRegions);
+  for (auto& c : completions) c = 0;
+  std::atomic<int> slots_run{0};
+  std::atomic<bool> gate_open{false};
+  std::atomic<bool> gate_entered{false};
+  auto pool = std::make_unique<ThreadPool>(2);  // one worker thread
+  pool->Submit(1, [&](unsigned) {
+    gate_entered = true;
+    while (!gate_open.load()) std::this_thread::yield();
+  });
+  while (!gate_entered.load()) std::this_thread::yield();
+  for (int i = 0; i < kRegions; ++i) {
+    pool->Submit(
+        1, [&](unsigned) { ++slots_run; }, [&, i] { ++completions[i]; });
+  }
+  std::thread destroyer([&] { pool.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate_open = true;
+  destroyer.join();
+  EXPECT_EQ(slots_run.load(), kRegions);
+  for (int i = 0; i < kRegions; ++i) {
+    EXPECT_EQ(completions[i].load(), 1) << "region " << i;
   }
 }
 
@@ -300,7 +325,6 @@ TEST(ThreadPool, TinyTokenRingSpillsToOverflowCorrectly) {
   // A deliberately undersized token ring forces the overflow path (tokens
   // beyond the ring spill to the mutex-guarded list): many concurrent
   // regions must still all complete with every slot run exactly once.
-  ScopedDispatchMode scoped(dispatch::Mode::kLockFree);
   ThreadPool pool(4, /*token_capacity=*/2);
   constexpr std::size_t kThreads = 3;
   constexpr int kRounds = 40;

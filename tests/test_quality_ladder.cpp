@@ -3,8 +3,8 @@
 // octree skip probe, the QualityGovernor policy (load floors, pressure
 // window, deadline fit, cost-model fallbacks) and the service-level
 // determinism contracts — a staged backlog replays the identical rung
-// sequence across dispatch modes and worker counts, and an unloaded
-// ladder-on service is bit-identical to the ladder-off one.
+// sequence at any worker count, and an unloaded ladder-on service is
+// bit-identical to the ladder-off one.
 #include "serve/quality_governor.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/dispatch.hpp"
 #include "common/image.hpp"
 #include "core/pipeline.hpp"
 #include "render/field_source.hpp"
@@ -26,18 +25,6 @@
 
 namespace spnerf {
 namespace {
-
-class ScopedDispatchMode {
- public:
-  explicit ScopedDispatchMode(dispatch::Mode mode)
-      : previous_(dispatch::SetActiveMode(mode)) {}
-  ~ScopedDispatchMode() { dispatch::SetActiveMode(previous_); }
-  ScopedDispatchMode(const ScopedDispatchMode&) = delete;
-  ScopedDispatchMode& operator=(const ScopedDispatchMode&) = delete;
-
- private:
-  dispatch::Mode previous_;
-};
 
 /// Same tiny build parameters as test_serve.cpp, same isolation rules.
 RenderRequest SmallRequest(SceneId id = SceneId::kMic, int view = 0) {
@@ -354,41 +341,35 @@ TEST_F(QualityLadderTest, StagedBacklogDegradesThroughTheLoadFloors) {
   // Four same-key requests staged on a paused 4-seat service, max_batch=1:
   // the dispatcher issues them one by one at occupancy 1.0, 0.75, 0.5,
   // 0.25 — the exact rung sequence 3, 2, 1, 0 (the degrade curve), FIFO
-  // within the class, on the frozen cost model. Identical across dispatch
-  // modes and worker counts: the governor decision is pure scheduling
-  // state, and a staged backlog's scheduling is already deterministic.
+  // within the class, on the frozen cost model. Identical at every worker
+  // count: the governor decision is pure scheduling state, and a staged
+  // backlog's scheduling is already deterministic.
   const std::vector<QualityRung> expected = {
       QualityRung::kPreview, QualityRung::kHalf, QualityRung::kCoarse,
       QualityRung::kFull};
-  for (const dispatch::Mode mode :
-       {dispatch::Mode::kLocked, dispatch::Mode::kLockFree}) {
-    for (const unsigned workers : {1u, 2u, 8u}) {
-      ScopedDispatchMode scoped(mode);
-      ThreadPool pool(workers);
-      RenderServiceOptions opts =
-          PausedOptions(/*capacity=*/4, /*max_batch=*/1);
-      opts.engine.pool = &pool;
-      opts.ladder.enabled = true;
-      opts.ladder.freeze_costs = true;
-      RenderService service(opts);
-      std::vector<std::future<RenderResponse>> futures;
-      for (int v = 0; v < 4; ++v) {
-        futures.push_back(service.Submit(SmallRequest(SceneId::kMic, v)));
-      }
-      service.Drain();
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        const RenderResponse r = futures[i].get();
-        ASSERT_EQ(r.status, RequestStatus::kCompleted);
-        EXPECT_EQ(r.rung, expected[i])
-            << "request " << i << " under " << dispatch::ModeName(mode)
-            << " with " << workers << " workers";
-        EXPECT_EQ(r.image.Width(), 24);  // upsampled back to requested size
-        EXPECT_EQ(r.image.Height(), 24);
-      }
-      const ServiceStatsSnapshot stats = service.Stats();
-      for (std::size_t q = 0; q < kQualityRungCount; ++q) {
-        EXPECT_EQ(stats.by_rung[q], 1u) << "rung " << q;
-      }
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    ThreadPool pool(workers);
+    RenderServiceOptions opts = PausedOptions(/*capacity=*/4, /*max_batch=*/1);
+    opts.engine.pool = &pool;
+    opts.ladder.enabled = true;
+    opts.ladder.freeze_costs = true;
+    RenderService service(opts);
+    std::vector<std::future<RenderResponse>> futures;
+    for (int v = 0; v < 4; ++v) {
+      futures.push_back(service.Submit(SmallRequest(SceneId::kMic, v)));
+    }
+    service.Drain();
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const RenderResponse r = futures[i].get();
+      ASSERT_EQ(r.status, RequestStatus::kCompleted);
+      EXPECT_EQ(r.rung, expected[i])
+          << "request " << i << " with " << workers << " workers";
+      EXPECT_EQ(r.image.Width(), 24);  // upsampled back to requested size
+      EXPECT_EQ(r.image.Height(), 24);
+    }
+    const ServiceStatsSnapshot stats = service.Stats();
+    for (std::size_t q = 0; q < kQualityRungCount; ++q) {
+      EXPECT_EQ(stats.by_rung[q], 1u) << "rung " << q;
     }
   }
 }

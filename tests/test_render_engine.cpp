@@ -319,6 +319,43 @@ TEST_F(RenderEngineTest, SubmitBatchCallbackDeliversResultsInJobOrder) {
   }
 }
 
+TEST_F(RenderEngineTest, DestroyingTheEngineMidBatchStillDeliversEveryFuture) {
+  // The engine need not outlive its batches: each batch owns its state, so
+  // destroying the engine while both SubmitBatch flavours are still
+  // draining on the pool leaves every future to resolve with the same
+  // result a live engine renders.
+  const SpNeRFFieldSource source(*codec_, false, false);
+  ThreadPool pool(4);
+  RenderEngineOptions opts;
+  opts.pool = &pool;
+  std::vector<RenderJob> jobs;
+  for (int v = 0; v < 4; ++v) jobs.push_back(MakeJob(source, 40, v));
+  const std::vector<RenderResult> reference =
+      RenderEngine(opts).RenderBatch(jobs);
+
+  auto engine = std::make_unique<RenderEngine>(opts);
+  std::vector<std::future<RenderResult>> futures = engine->SubmitBatch(jobs);
+  std::promise<std::vector<RenderResult>> delivered;
+  engine->SubmitBatch(
+      jobs, [&](std::vector<std::future<RenderResult>> ready) {
+        std::vector<RenderResult> results;
+        for (std::future<RenderResult>& f : ready) results.push_back(f.get());
+        delivered.set_value(std::move(results));
+      });
+  engine.reset();
+
+  ASSERT_EQ(futures.size(), jobs.size());
+  const std::vector<RenderResult> via_callback = delivered.get_future().get();
+  ASSERT_EQ(via_callback.size(), jobs.size());
+  for (std::size_t v = 0; v < jobs.size(); ++v) {
+    const RenderResult r = futures[v].get();
+    ExpectSameImage(r.image, reference[v].image);
+    ExpectSameStats(r.stats, reference[v].stats);
+    ExpectSameImage(via_callback[v].image, reference[v].image);
+    ExpectSameStats(via_callback[v].stats, reference[v].stats);
+  }
+}
+
 TEST_F(RenderEngineTest, StatsOffLeavesZeroStats) {
   const SpNeRFFieldSource source(*codec_, false, false);
   RenderJob job = MakeJob(source, 24);
