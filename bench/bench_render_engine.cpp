@@ -8,7 +8,6 @@
 //        [threads=0]
 #include "bench/bench_util.hpp"
 #include "core/pipeline.hpp"
-#include "render/skip_mode.hpp"
 
 int main(int argc, char** argv) {
   using namespace spnerf;
@@ -48,8 +47,7 @@ int main(int argc, char** argv) {
   }
 
   bench::JsonReport json("render_engine");
-  const auto run = [&](const char* name, unsigned workers, bool wavefront) {
-    for (RenderJob& job : jobs) job.options.wavefront = wavefront;
+  const auto run = [&](const char* name, unsigned workers) {
     RenderEngineOptions opts;
     opts.max_threads = workers;
     const bench::WallTimer timer;
@@ -72,46 +70,21 @@ int main(int argc, char** argv) {
   };
 
   bench::PrintRule();
-  // "sequential"/"parallel" keep their historical names (and are now the
-  // wavefront path, the production default); the scalar per-ray reference
-  // runs at both worker counts so the wavefront-vs-scalar ratio is tracked
-  // per commit. The ratio entries store the ratio itself in the wall_ms
-  // field (>1 means wavefront is faster; tracked, not gated — 1-core CI
-  // measures small fronts).
-  const double seq_ms = run("sequential", 1, /*wavefront=*/true);
-  const double par_ms = run("parallel", parallel_workers, /*wavefront=*/true);
-  const double scalar_seq_ms = run("scalar[1t]", 1, /*wavefront=*/false);
-  const double scalar_par_ms =
-      run("scalar[par]", parallel_workers, /*wavefront=*/false);
+  const double seq_ms = run("sequential", 1);
+  const double par_ms = run("parallel", parallel_workers);
   bench::PrintRule();
   std::printf("speedup: %.2fx on %u workers (target: >= 4x on 8)\n",
               seq_ms / par_ms, parallel_workers);
-  std::printf("wavefront vs scalar: %.2fx at 1 worker, %.2fx at %u workers\n",
-              scalar_seq_ms / seq_ms, scalar_par_ms / par_ms,
-              parallel_workers);
-  json.Add("ratio/wavefront-vs-scalar[1t]", scalar_seq_ms / seq_ms, 1);
-  json.Add("ratio/wavefront-vs-scalar[par]", scalar_par_ms / par_ms,
-           parallel_workers);
-  // Path-tagged twins of the ratios: the name says which SIMD kernels the
-  // wavefront runs dispatched on (also in the "host" block), so mixed-host
-  // trajectories stay interpretable.
-  const std::string simd_tag = simd::PathName(simd::ActivePath());
-  json.Add("ratio/wavefront-" + simd_tag + "-vs-scalar[1t]",
-           scalar_seq_ms / seq_ms, 1);
-  json.Add("ratio/wavefront-" + simd_tag + "-vs-scalar[par]",
-           scalar_par_ms / par_ms, parallel_workers);
 
-  // Tracing-overhead gate: the parallel wavefront sweep re-run with full
-  // tracing off and on. The ratio (wall_off / wall_full, so 1.0 = free,
-  // < 0.95 would breach the observability contract) lands in the obs block
-  // and, per repo convention, in an entries row.
+  // Tracing-overhead gate: the parallel sweep re-run with full tracing off
+  // and on. The ratio (wall_off / wall_full, so 1.0 = free, < 0.95 would
+  // breach the observability contract) lands in the obs block and, per
+  // repo convention, in an entries row.
   {
     const obs::TraceLevel prev = obs::SetActiveTraceLevel(obs::TraceLevel::kOff);
-    const double off_ms = run("parallel[trace=off]", parallel_workers,
-                              /*wavefront=*/true);
+    const double off_ms = run("parallel[trace=off]", parallel_workers);
     obs::SetActiveTraceLevel(obs::TraceLevel::kFull);
-    const double full_ms = run("parallel[trace=full]", parallel_workers,
-                               /*wavefront=*/true);
+    const double full_ms = run("parallel[trace=full]", parallel_workers);
     obs::SetActiveTraceLevel(prev);
     if (full_ms > 0.0) {
       const double ratio = off_ms / full_ms;
@@ -119,107 +92,6 @@ int main(int argc, char** argv) {
                   off_ms, full_ms, ratio);
       json.AddObsRatio("render/trace-overhead[full]", ratio);
       json.Add("render/trace-overhead", ratio, parallel_workers);
-    }
-  }
-
-  // Octree-vs-flat empty-space-skipping sweep over scene sparsity. The two
-  // marchers are bit-identical in output (enforced by test_wavefront), so
-  // the only interesting number is wall time: the octree amortises runs of
-  // empty coarse cells into one shallow descent per region, which pays off
-  // most in mostly-empty scenes and must at least break even in dense
-  // ones. The plain ratio names carry the acceptance number (from the
-  // mostly-empty scene); sparsity-tagged twins keep the full sweep.
-  {
-    struct SweepScene {
-      SceneId id;
-      const char* sparsity;
-      bool headline;  // plain-named ratios come from this scene
-    };
-    const SweepScene sweep[] = {
-        {SceneId::kMic, "mostly-empty", true},
-        {SceneId::kLego, "half", false},
-        {SceneId::kShip, "dense", false},
-    };
-    const int sweep_views = 2;  // ratio denominators, not scaling curves
-    bench::PrintRule();
-    std::printf("octree-vs-flat skip sweep (%d views of %dx%d):\n",
-                sweep_views, size, size);
-    for (const SweepScene& s : sweep) {
-      PipelineConfig sc = config;
-      sc.scene_id = s.id;
-      // Per-fine-voxel occupancy (factor 1): the regime a hierarchical
-      // skip structure targets — at the default factor 4 a 64^3 scene has
-      // only 16^3 coarse cells and empty-space marching is a rounding
-      // error next to decode cost, so the flat-vs-octree difference would
-      // drown in timer noise.
-      sc.coarse_factor = 1;
-      const std::shared_ptr<const ScenePipeline> p =
-          PipelineRepository::Global().Acquire(sc);
-      SpNeRFFieldSource sweep_source(p->Codec(), sc.render.fp16_mlp,
-                                     /*collect_counters=*/false);
-      std::vector<RenderJob> sweep_jobs;
-      for (int v = 0; v < sweep_views; ++v) {
-        RenderJob job;
-        job.source = &sweep_source;
-        job.mlp = &p->GetMlp();
-        job.camera = p->MakeCamera(size, size, v, views);
-        job.options = p->RenderOptionsWithSkip();
-        job.options.wavefront = true;
-        job.collect_stats = true;
-        sweep_jobs.push_back(job);
-      }
-      u64 skips = 0, steps = 0;
-      const auto timed = [&](skip::Mode mode, unsigned workers) {
-        const skip::Mode prev = skip::SetActiveMode(mode);
-        RenderEngineOptions opts;
-        opts.max_threads = workers;
-        // Min-of-k, adaptive k: the ratios below divide two short runs, so
-        // a single scheduling hiccup would otherwise dominate the reported
-        // number. Small smoke configs (res=48, 64x64 views) finish in tens
-        // of ms — keep repeating until ~300 ms of samples accumulate so the
-        // minimum is a real floor, not a lucky draw.
-        double best_ms = 0.0, spent_ms = 0.0;
-        for (int rep = 0; rep < 2 || (spent_ms < 300.0 && rep < 8); ++rep) {
-          const bench::WallTimer timer;
-          const std::vector<RenderResult> results =
-              RenderEngine(opts).RenderBatch(sweep_jobs);
-          const double wall_ms = timer.ElapsedMs();
-          spent_ms += wall_ms;
-          if (rep == 0 || wall_ms < best_ms) best_ms = wall_ms;
-          skips = steps = 0;
-          for (const RenderResult& r : results) {
-            skips += r.stats.coarse_skips;
-            steps += r.stats.steps;
-          }
-        }
-        skip::SetActiveMode(prev);
-        return best_ms;
-      };
-      const double flat_1t = timed(skip::Mode::kFlat, 1);
-      const double tree_1t = timed(skip::Mode::kOctree, 1);
-      const double flat_par = timed(skip::Mode::kFlat, parallel_workers);
-      const double tree_par = timed(skip::Mode::kOctree, parallel_workers);
-      // Skip rate: fraction of march iterations resolved by the skipping
-      // structure rather than sampled (identical for both modes by the
-      // bit-exactness contract; reported once per sparsity class).
-      const double skip_rate =
-          skips + steps ? static_cast<double>(skips) /
-                              static_cast<double>(skips + steps)
-                        : 0.0;
-      const double r1 = tree_1t > 0.0 ? flat_1t / tree_1t : 0.0;
-      const double rp = tree_par > 0.0 ? flat_par / tree_par : 0.0;
-      std::printf("  %-12s (%s): skip-rate %.3f, octree-vs-flat %.2fx [1t] "
-                  "%.2fx [par]\n",
-                  SceneName(s.id), s.sparsity, skip_rate, r1, rp);
-      const std::string tag = std::string("[") + s.sparsity + "]";
-      json.Add("render/skip-rate" + tag, skip_rate, 1);
-      json.Add("ratio/octree-vs-flat" + tag + "[1t]", r1, 1);
-      json.Add("ratio/octree-vs-flat" + tag + "[par]", rp, parallel_workers);
-      if (s.headline) {
-        json.Add("render/skip-rate", skip_rate, 1);
-        json.Add("ratio/octree-vs-flat[1t]", r1, 1);
-        json.Add("ratio/octree-vs-flat[par]", rp, parallel_workers);
-      }
     }
   }
 

@@ -436,33 +436,52 @@ int main(int argc, char** argv) {
 
   bench::PrintRule();
 
-  // Tracing-overhead gate: the batch-1 closed-loop window replayed on fresh
-  // services at SPNF_TRACE=off, =counters and =full. Same load, same
-  // scheduling — the throughput ratios (level / off) are the observability
-  // layer's overhead contract (counters-only must stay >= 0.99, full
-  // tracing >= 0.95 on multi-core hosts; see ARCHITECTURE.md).
+  // Tracing-overhead ratio: the batch-1 closed-loop window replayed on
+  // fresh services at SPNF_TRACE=off, =counters and =full, in kTraceRounds
+  // rounds that rotate which level runs first. Each round gives one
+  // throughput ratio (level / off) per level; the median over the rounds
+  // and its min/max land in the obs block. Single windows are noisy (one
+  // round can read anywhere in 0.6x-1.4x), so the ratio is tracked, not
+  // gated (counters-only should stay >= 0.99 and full tracing >= 0.95 on
+  // multi-core hosts; see ARCHITECTURE.md).
   {
-    const auto sweep = [&](obs::TraceLevel level) -> double {
-      const obs::TraceLevel prev = obs::SetActiveTraceLevel(level);
-      RenderService service(batch1_opts);
-      const double rps = batch1_window(service);
-      obs::SetActiveTraceLevel(prev);
-      return rps;
-    };
-    const double rps_off = sweep(obs::TraceLevel::kOff);
-    const double rps_counters = sweep(obs::TraceLevel::kCounters);
-    const double rps_full = sweep(obs::TraceLevel::kFull);
-    if (rps_off > 0.0) {
-      const double counters_ratio = rps_counters / rps_off;
-      const double full_ratio = rps_full / rps_off;
-      std::printf("tracing overhead: off %.1f rps | counters %.1f rps "
-                  "(%.3fx) | full %.1f rps (%.3fx)\n",
-                  rps_off, rps_counters, counters_ratio, rps_full, full_ratio);
-      json.AddObsRatio("serve/trace-overhead[counters]", counters_ratio);
-      json.AddObsRatio("serve/trace-overhead[full]", full_ratio);
+    constexpr int kTraceRounds = 5;
+    const obs::TraceLevel levels[3] = {obs::TraceLevel::kOff,
+                                       obs::TraceLevel::kCounters,
+                                       obs::TraceLevel::kFull};
+    std::vector<double> ratios[3];  // per level, one ratio per round
+    for (int round = 0; round < kTraceRounds; ++round) {
+      double rps[3] = {};
+      for (int k = 0; k < 3; ++k) {
+        const int level = (round + k) % 3;
+        const obs::TraceLevel prev = obs::SetActiveTraceLevel(levels[level]);
+        RenderService service(batch1_opts);
+        rps[level] = batch1_window(service);
+        obs::SetActiveTraceLevel(prev);
+      }
+      if (rps[0] <= 0.0) continue;
+      for (int level = 1; level < 3; ++level) {
+        ratios[level].push_back(rps[level] / rps[0]);
+      }
+    }
+    if (!ratios[1].empty()) {
+      const char* names[3] = {"", "counters", "full"};
+      double median[3] = {};
+      for (int level = 1; level < 3; ++level) {
+        std::vector<double>& r = ratios[level];
+        std::sort(r.begin(), r.end());
+        median[level] = r[r.size() / 2];
+        std::printf("tracing overhead [%s]: median %.3fx (min %.3fx, max "
+                    "%.3fx) over %zu rounds\n",
+                    names[level], median[level], r.front(), r.back(),
+                    r.size());
+        json.AddObsRatio(std::string("serve/trace-overhead[") +
+                             names[level] + "]",
+                         median[level], r.front(), r.back());
+      }
       // Ratio value rides in the wall_ms field too (repo convention), so the
-      // trajectory tooling that only reads `entries` still sees the gate.
-      json.Add("serve/trace-overhead", full_ratio, effective_threads);
+      // trajectory tooling that only reads `entries` still sees it.
+      json.Add("serve/trace-overhead", median[2], effective_threads);
     }
   }
 

@@ -131,12 +131,19 @@ class JsonReport {
     entries_.push_back(std::move(e));
   }
 
-  /// Overhead ratio entry for the observability gate (e.g.
-  /// "serve/trace-overhead[full]" = rps_full / rps_off). Written into the
-  /// `obs` block so trajectory tooling can assert the tracing contract
+  /// Overhead ratio entry for the observability contract (e.g.
+  /// "render/trace-overhead[full]" = wall_off / wall_full). Written into
+  /// the `obs` block so trajectory tooling can track the tracing contract
   /// (>= 0.95 full, >= 0.99 counters-only) per commit.
   void AddObsRatio(const std::string& name, double ratio) {
     obs_ratios_.push_back({name, ratio});
+  }
+
+  /// Repeated-measurement flavour: the median ratio over several rounds,
+  /// written with the rounds' min and max so the spread is on record.
+  void AddObsRatio(const std::string& name, double median, double min,
+                   double max) {
+    obs_ratios_.push_back({name, median, min, max, true});
   }
 
   /// Captures the process metrics registry into the report's `obs` block
@@ -238,9 +245,13 @@ class JsonReport {
     if (!obs_ratios_.empty()) {
       std::fprintf(f, ",\n    \"ratios\": [\n");
       for (std::size_t i = 0; i < obs_ratios_.size(); ++i) {
-        std::fprintf(f, "      {\"name\": \"%s\", \"ratio\": %.4f}%s\n",
-                     obs_ratios_[i].first.c_str(), obs_ratios_[i].second,
-                     i + 1 < obs_ratios_.size() ? "," : "");
+        const ObsRatio& r = obs_ratios_[i];
+        std::fprintf(f, "      {\"name\": \"%s\", \"ratio\": %.4f",
+                     r.name.c_str(), r.ratio);
+        if (r.spread) {
+          std::fprintf(f, ", \"min\": %.4f, \"max\": %.4f", r.min, r.max);
+        }
+        std::fprintf(f, "}%s\n", i + 1 < obs_ratios_.size() ? "," : "");
       }
       std::fprintf(f, "    ]");
     }
@@ -300,7 +311,14 @@ class JsonReport {
   };
   std::string bench_id_;
   std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, double>> obs_ratios_;
+  struct ObsRatio {
+    std::string name;
+    double ratio = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    bool spread = false;  // min/max come from repeated rounds
+  };
+  std::vector<ObsRatio> obs_ratios_;
   obs::MetricsSnapshot obs_snapshot_;
   bool have_obs_snapshot_ = false;
 };

@@ -39,7 +39,6 @@ Camera ScenePipeline::MakeCamera(int width, int height, int view,
 
 RenderOptions ScenePipeline::RenderOptionsWithSkip() const {
   RenderOptions opt = config_.render;
-  opt.coarse_skip = assets_.coarse.get();
   opt.octree_skip = assets_.octree.get();
   return opt;
 }

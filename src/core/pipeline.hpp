@@ -70,10 +70,10 @@ class ScenePipeline {
   [[nodiscard]] RenderEngine MakeEngine() const {
     return RenderEngine(config_.engine);
   }
-  /// Render options with this pipeline's skip structures attached (coarse
-  /// bitmap + occupancy octree; SPNF_SKIP picks which one marches). Callers
-  /// building their own RenderJobs (orbit sweeps, codec A/B batches) use
-  /// this so every path marches identical rays.
+  /// Render options with this pipeline's occupancy octree attached for
+  /// empty-space skipping. Callers building their own RenderJobs (orbit
+  /// sweeps, codec A/B batches) use this so every path marches identical
+  /// rays.
   [[nodiscard]] RenderOptions RenderOptionsWithSkip() const;
 
   [[nodiscard]] Image RenderGroundTruth(const Camera& camera) const;

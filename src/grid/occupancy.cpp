@@ -1,7 +1,5 @@
 #include "grid/occupancy.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace spnerf {
@@ -53,14 +51,6 @@ CoarseOccupancy CoarseOccupancy::FromBits(BitGrid coarse, int factor) {
   occ.factor_ = factor;
   occ.coarse_ = std::move(coarse);
   return occ;
-}
-
-Vec3i CoarseOccupancy::CellOfWorld(Vec3f p) const {
-  const GridDims& cd = coarse_.Dims();
-  const auto cell = [](float w, int n) {
-    return std::clamp(static_cast<int>(w * static_cast<float>(n)), 0, n - 1);
-  };
-  return {cell(p.x, cd.nx), cell(p.y, cd.ny), cell(p.z, cd.nz)};
 }
 
 bool CoarseOccupancy::OccupiedAtWorld(Vec3f p) const {

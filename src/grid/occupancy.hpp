@@ -5,9 +5,21 @@
 // role with the per-subgrid bitmap.
 #pragma once
 
+#include <algorithm>
+
 #include "grid/bitmap.hpp"
 
 namespace spnerf {
+
+/// Cell of a `dims`-sized grid spanning [0,1]^3 that contains world point
+/// `p`, clamped into range. The one world->cell rule every skip structure
+/// shares, so their cell walks agree bit for bit.
+[[nodiscard]] inline Vec3i WorldCell(const GridDims& dims, Vec3f p) {
+  const auto cell = [](float w, int n) {
+    return std::clamp(static_cast<int>(w * static_cast<float>(n)), 0, n - 1);
+  };
+  return {cell(p.x, dims.nx), cell(p.y, dims.ny), cell(p.z, dims.nz)};
+}
 
 class CoarseOccupancy {
  public:
@@ -29,7 +41,9 @@ class CoarseOccupancy {
   [[nodiscard]] bool OccupiedAtWorld(Vec3f p) const;
 
   /// Coarse cell containing a world point (clamped).
-  [[nodiscard]] Vec3i CellOfWorld(Vec3f p) const;
+  [[nodiscard]] Vec3i CellOfWorld(Vec3f p) const {
+    return WorldCell(coarse_.Dims(), p);
+  }
 
   /// World-space bounds of a coarse cell.
   [[nodiscard]] Aabb CellBounds(Vec3i cell) const;

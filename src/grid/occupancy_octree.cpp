@@ -94,7 +94,7 @@ void OccupancyOctree::InitBoundaries() {
 bool OccupancyOctree::FindEmptyNode(Vec3i c, OctreeRayCache& cache) const {
   const int leaf = Levels() - 1;
   // Leaf probe first: an occupied cell answers in one probe, exactly the
-  // flat path's cost, so dense regions pay nothing for the hierarchy.
+  // cost of a flat bitmap, so dense regions pay nothing for the hierarchy.
   if (levels_.back().Test(c)) return false;
   // The leaf is empty, so some empty ancestor chain exists (parent empty
   // <=> all children empty). Descend root-first and stop at the shallowest

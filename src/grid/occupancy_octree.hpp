@@ -7,12 +7,12 @@
 // d above the leaves is simply c >> d — so the whole structure is a handful
 // of BitGrids and traversal needs no pointer chasing.
 //
-// The ray marchers use it through a per-ray cache (OctreeRayCache): when a
+// The ray marcher uses it through a per-ray cache (OctreeRayCache): when a
 // sample lands in an empty leaf, one root-down descent finds the SHALLOWEST
 // empty ancestor and caches its leaf-cell range; every subsequent empty
 // sample inside that range is answered by six integer compares, with no
 // bitmap probe at all. Occupied leaves cost exactly one leaf-bit probe —
-// the same as the flat path — so dense scenes pay no hierarchy tax.
+// the same as a flat bitmap — so dense scenes pay no hierarchy tax.
 #pragma once
 
 #include <vector>
@@ -60,6 +60,11 @@ class OccupancyOctree {
   [[nodiscard]] const GridDims& LeafDims() const {
     return levels_.back().Dims();
   }
+  /// Leaf cell containing a world point (clamped); equals
+  /// CoarseOccupancy::CellOfWorld on the coarse grid it was built from.
+  [[nodiscard]] Vec3i LeafCellOfWorld(Vec3f p) const {
+    return WorldCell(LeafDims(), p);
+  }
   /// Fine voxels per leaf cell per axis (CoarseOccupancy::Factor()).
   [[nodiscard]] int Factor() const { return factor_; }
 
@@ -69,7 +74,7 @@ class OccupancyOctree {
   [[nodiscard]] bool FindEmptyNode(Vec3i c, OctreeRayCache& cache) const;
 
   /// Is leaf cell `c` occupied? The leaf bit is probed FIRST, so an
-  /// occupied cell costs exactly one probe — the flat path's cost on the
+  /// occupied cell costs exactly one probe — a flat bitmap's cost on the
   /// sample-step iterations that dominate a march. Empty cells refill
   /// `cache` with a root-down descent only when they leave the cached
   /// region. Agrees with CoarseOccupancy::Bits().Test(c) for every

@@ -10,7 +10,7 @@
 //
 // The trace level is process-global, resolved once from SPNF_TRACE
 // ("off" | "counters" | "full" — the same one-shot resolution rule as
-// SPNF_SIMD / SPNF_SKIP):
+// SPNF_SIMD):
 //   * kOff      — every record site is a single relaxed load + branch.
 //   * kCounters — the metrics registry records (obs/metrics.hpp); spans and
 //                 instants are still skipped. The always-on default.

@@ -8,7 +8,7 @@
 // an octree level cap on the empty-space-skipping march (rung 3). Every
 // rung is a pure function of the base options — no RNG, no wall clock — so
 // a given (request, rung) renders byte-identical pixels on any worker
-// count, SIMD path or dispatch mode.
+// count or SIMD path.
 //
 // This header is deliberately light (enum + spec table + declarations), so
 // the serving stats layer can size per-rung counters without pulling the

@@ -15,23 +15,6 @@ namespace spnerf {
 
 namespace render_detail {
 
-float CellExitT(const Ray& ray, const Aabb& cell, float t) {
-  float exit_t = std::numeric_limits<float>::max();
-  for (int axis = 0; axis < 3; ++axis) {
-    const float d = ray.direction[axis];
-    if (std::fabs(d) < kDegenerateDirectionEpsilon) continue;
-    const float boundary = d > 0.f ? cell.hi[axis] : cell.lo[axis];
-    const float tx = (boundary - ray.origin[axis]) / d;
-    if (tx > t && tx < exit_t) exit_t = tx;
-  }
-  if (exit_t == std::numeric_limits<float>::max()) {
-    // Zero-area cell (or a ray with no boundary ahead): force strictly
-    // forward progress so the skip loop cannot revisit the same t.
-    return std::nextafter(t, std::numeric_limits<float>::infinity());
-  }
-  return exit_t;
-}
-
 float CellExitTDda(const Ray& ray, Vec3i cell, const GridDims& dims, float t) {
   float exit_t = std::numeric_limits<float>::max();
   for (int axis = 0; axis < 3; ++axis) {
@@ -83,8 +66,8 @@ SkipObsHandles& SkipObs() {
   return handles;
 }
 
-/// Local accumulator for the per-level skip counters (octree mode only);
-/// flushed to the registry once per ray (scalar path) or tile (wavefront).
+/// Local accumulator for the per-level skip counters; flushed to the
+/// registry once per tile.
 struct SkipShard {
   std::array<u32, SkipObsHandles::kMaxLevels> level{};
   u32 outside = 0;
@@ -98,23 +81,10 @@ struct SkipShard {
   }
 };
 
-/// The shared empty-space-skipping advance of both marchers: moves `t`
-/// forward to the ray's next occupied sample position (returns true) or
-/// past `t_far` (returns false), counting skipped cells into `skips`.
-///
-/// Flat and octree modes replay the IDENTICAL t-update chain — the same
-/// `ray.At(t)` world points, the same clamped cell, the same exit boundary
-/// floats, the same `max(exit_t + eps, t + step)` — so images, stats and
-/// decode counters are bit-identical across modes. The octree mode merely
-/// answers the occupancy question cheaper (the cached empty node covers
-/// whole regions with six integer compares, no bitmap probe) and computes
-/// only the <= 3 exit boundaries the ray can cross (CellExitTDda) instead
-/// of materialising the cell Aabb (6 divisions per empty cell).
 /// CellExitTDda with the boundary divisions replaced by the octree's
 /// precomputed plane tables (table[i] is bitwise float(i)/float(n)): an
-/// empty iteration pays 3 divisions where the flat chain pays 9. The
-/// comparison structure mirrors CellExitT exactly — only the boundary
-/// operand's provenance changes, never its value.
+/// empty iteration pays 3 divisions where an Aabb exit pays 9. Only the
+/// boundary operand's provenance changes, never its value.
 float CellExitTCached(const Ray& ray, Vec3i cell, const float* bx,
                       const float* by, const float* bz, float t) {
   float exit_t = std::numeric_limits<float>::max();
@@ -133,24 +103,16 @@ float CellExitTCached(const Ray& ray, Vec3i cell, const float* bx,
   return exit_t;
 }
 
-bool AdvanceToOccupied(const RenderOptions& opt, bool use_octree,
-                       const Ray& ray, float t_far, float& t, u64& skips,
-                       OctreeRayCache& cache, SkipShard* shard) {
-  const CoarseOccupancy* coarse = opt.coarse_skip;
-  if (coarse == nullptr) return t < t_far;
-  if (!use_octree) {
-    // Flat probe: the original reference chain, verbatim.
-    while (t < t_far) {
-      const Vec3f p = ray.At(t);
-      if (coarse->OccupiedAtWorld(p)) return true;
-      const Aabb cell = coarse->CellBounds(coarse->CellOfWorld(p));
-      const float exit_t = render_detail::CellExitT(ray, cell, t);
-      t = std::max(exit_t + render_detail::kSkipForwardEpsilon,
-                   t + opt.step_size);
-      ++skips;
-    }
-    return false;
-  }
+/// Empty-space skipping: moves `t` forward to the ray's next occupied
+/// sample position (returns true) or past `t_far` (returns false),
+/// counting skipped cells into `skips`. The leaf-level march replays the
+/// flat per-cell chain `t = max(exit_t + eps, t + step)` bit for bit; the
+/// octree only answers the occupancy question cheaper (a cached empty node
+/// covers whole regions with six integer compares, no bitmap probe).
+bool AdvanceToOccupied(const RenderOptions& opt, const Ray& ray, float t_far,
+                       float& t, u64& skips, OctreeRayCache& cache,
+                       SkipShard* shard) {
+  if (opt.octree_skip == nullptr) return t < t_far;
   const OccupancyOctree& tree = *opt.octree_skip;
   if (opt.octree_level_cap > 0) {
     // Degraded-preview march (quality ladder): occupancy is answered `cap`
@@ -170,7 +132,7 @@ bool AdvanceToOccupied(const RenderOptions& opt, bool use_octree,
       const Vec3f p = ray.At(t);
       const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f ||
                             p.y > 1.f || p.z < 0.f || p.z > 1.f);
-      const Vec3i leaf = coarse->CellOfWorld(p);
+      const Vec3i leaf = tree.LeafCellOfWorld(p);
       const Vec3i cell{leaf.x >> cap, leaf.y >> cap, leaf.z >> cap};
       if (inside && bits.Test(cell)) return true;
       if (shard != nullptr) {
@@ -197,7 +159,7 @@ bool AdvanceToOccupied(const RenderOptions& opt, bool use_octree,
     // unoccupied but still march through their clamped boundary cell.
     const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f || p.y > 1.f ||
                           p.z < 0.f || p.z > 1.f);
-    const Vec3i cell = coarse->CellOfWorld(p);
+    const Vec3i cell = tree.LeafCellOfWorld(p);
     if (inside && tree.OccupiedAt(cell, cache)) return true;
     if (shard != nullptr) {
       if (inside) {
@@ -215,81 +177,6 @@ bool AdvanceToOccupied(const RenderOptions& opt, bool use_octree,
   return false;
 }
 
-}  // namespace
-
-Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
-                                const Ray& ray, RenderStats* stats,
-                                DecodeCounters* counters) const {
-  const Aabb scene_box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
-  float t_near = 0.f, t_far = 0.f;
-  if (stats) ++stats->rays;
-  if (!IntersectAabb(ray, scene_box, t_near, t_far)) {
-    if (stats) {
-      ++stats->missed_rays;
-      stats->steps_per_ray.Add(0.0);
-      stats->evals_per_ray.Add(0.0);
-    }
-    return options_.background;
-  }
-
-  const ViewEmbedding view = EmbedViewDirection(ray.direction);
-  Vec3f color{0.f, 0.f, 0.f};
-  float transmittance = 1.0f;
-  u64 ray_steps = 0;
-  u64 ray_evals = 0;
-  u64 ray_skips = 0;
-  bool terminated = false;
-
-  const bool count_obs = obs::CountersEnabled();
-  OctreeRayCache dda;
-  SkipShard shard;
-  SkipShard* shard_ptr = (count_obs && use_octree_) ? &shard : nullptr;
-
-  float t = t_near;
-  // Empty-space skipping: jump to the exit of unoccupied supervoxels until
-  // the next occupied sample position (or out of the box).
-  while (AdvanceToOccupied(options_, use_octree_, ray, t_far, t, ray_skips,
-                           dda, shard_ptr)) {
-    ++ray_steps;
-    const FieldSample s = source.Sample(ray.At(t), counters);
-    t += options_.step_size;
-
-    // Stored density is post-activation sigma; negative values (possible
-    // after lossy decode) clamp to zero.
-    const float sigma = s.density > 0.0f ? s.density : 0.0f;
-    const float alpha = 1.0f - std::exp(-sigma * options_.step_size);
-    if (alpha <= options_.alpha_threshold) continue;
-
-    ++ray_evals;
-    const auto in = AssembleMlpInput(s.features, view);
-    const Vec3f rgb = options_.fp16_mlp ? mlp.ForwardFp16(in) : mlp.Forward(in);
-    const float weight = transmittance * alpha;
-    color += rgb * weight;
-    transmittance *= 1.0f - alpha;
-    if (transmittance < options_.termination_transmittance) {
-      terminated = true;
-      break;
-    }
-  }
-
-  color += options_.background * transmittance;
-  if (stats) {
-    stats->steps += ray_steps;
-    stats->coarse_skips += ray_skips;
-    stats->mlp_evals += ray_evals;
-    if (terminated) ++stats->terminated_rays;
-    stats->steps_per_ray.Add(static_cast<double>(ray_steps));
-    stats->evals_per_ray.Add(static_cast<double>(ray_evals));
-  }
-  if (count_obs) {
-    if (shard_ptr != nullptr) shard_ptr->Flush();
-    SkipObs().cells_per_ray->Record(ray_skips);
-  }
-  return color;
-}
-
-namespace {
-
 /// Per-ray march state of the wavefront tile marcher. The sample/shade
 /// buffers of the front are SoA (see WavefrontScratch); this is the per-ray
 /// bookkeeping that survives between wavefront iterations.
@@ -303,7 +190,7 @@ struct WavefrontRay {
   u64 steps = 0;
   u64 evals = 0;
   u64 skips = 0;
-  OctreeRayCache dda;  // octree skip mode: cached empty-node range
+  OctreeRayCache dda;  // cached empty-node range of the octree march
   bool missed = false;
   bool terminated = false;
 };
@@ -333,20 +220,20 @@ constexpr std::size_t kShadeBatch = 256;
 
 }  // namespace
 
-void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
-                                         const Mlp& mlp, const Camera& camera,
-                                         int x0, int y0, int x1, int y1,
-                                         Image& out, RenderStats* stats,
-                                         DecodeCounters* counters) const {
+void VolumeRenderer::RenderTile(const FieldSource& source, const Mlp& mlp,
+                                const Camera& camera, int x0, int y0, int x1,
+                                int y1, Image& out, RenderStats* stats,
+                                DecodeCounters* counters) const {
   thread_local WavefrontScratch s;
   const Aabb scene_box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
   const int width = x1 - x0;
   const bool count_obs = obs::CountersEnabled();
   SkipShard skip_shard;
-  SkipShard* skip_shard_ptr = (count_obs && use_octree_) ? &skip_shard : nullptr;
+  SkipShard* skip_shard_ptr =
+      (count_obs && options_.octree_skip != nullptr) ? &skip_shard : nullptr;
 
-  // Ray setup, row-major over the tile (the same enumeration the scalar
-  // loop uses; every per-ray quantity below reduces in this order).
+  // Ray setup, row-major over the tile (every per-ray quantity below
+  // reduces in this order).
   s.rays.clear();
   s.active.clear();
   for (int y = y0; y < y1; ++y) {
@@ -368,7 +255,7 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
 
   // Shades the queued survivors through one ForwardBatch and adds each
   // rgb * weight to its ray. The queue is in gate order, so a ray's
-  // contributions land in t order: the scalar loop's chain, deferred.
+  // contributions land in t order: a per-ray compositing chain, deferred.
   const auto shade = [&] {
     if (count_obs) {
       static obs::Histogram& shade_batch =
@@ -396,7 +283,7 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
   // only on alpha, so the gate composites them at once and queues the
   // survivor's colour for shading in full blocks. A ray contributes at
   // most one sample per iteration, so its compositing chain runs in strict
-  // t order with exactly the scalar path's arithmetic.
+  // t order with exactly a per-ray march's arithmetic.
   // (A tile that threw mid-march may have left this thread's queue full.)
   s.shade_ray.clear();
   s.shade_weight.clear();
@@ -406,11 +293,9 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
     s.front_ray.clear();
     for (const u32 idx : s.active) {
       WavefrontRay& r = s.rays[idx];
-      // Advance to the next sample position (the scalar loop's skip logic,
-      // shared: AdvanceToOccupied replays the identical t-update chain in
-      // either skip mode).
-      if (!AdvanceToOccupied(options_, use_octree_, r.ray, r.t_far, r.t,
-                             r.skips, r.dda, skip_shard_ptr)) {
+      // Advance to the next sample position.
+      if (!AdvanceToOccupied(options_, r.ray, r.t_far, r.t, r.skips, r.dda,
+                             skip_shard_ptr)) {
         continue;  // marched out of the box: ray retires
       }
       ++r.steps;
@@ -430,7 +315,7 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
 
     // Alpha gate: survivors take their compositing weight, update
     // transmittance and termination, and queue their MLP inputs; the rest
-    // keep marching without shading, exactly like the scalar `continue`.
+    // keep marching without shading.
     for (std::size_t e = 0; e < s.samples.size(); ++e) {
       const FieldSample& smp = s.samples[e];
       const float sigma = smp.density > 0.0f ? smp.density : 0.0f;
@@ -461,8 +346,8 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
   if (!s.mlp_in.empty()) shade();
 
   // Finalize in row-major order: pixels, then the per-ray stat reductions
-  // in exactly the scalar loop's Add() order (RunningStats merges are
-  // order-sensitive; integer counters are not).
+  // in row-major Add() order (RunningStats merges are order-sensitive;
+  // integer counters are not).
   for (int y = y0; y < y1; ++y) {
     for (int x = x0; x < x1; ++x) {
       const WavefrontRay& r =
@@ -493,23 +378,6 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
     }
   }
   if (skip_shard_ptr != nullptr) skip_shard_ptr->Flush();
-}
-
-void VolumeRenderer::RenderTile(const FieldSource& source, const Mlp& mlp,
-                                const Camera& camera, int x0, int y0, int x1,
-                                int y1, Image& out, RenderStats* stats,
-                                DecodeCounters* counters) const {
-  if (options_.wavefront) {
-    RenderTileWavefront(source, mlp, camera, x0, y0, x1, y1, out, stats,
-                        counters);
-    return;
-  }
-  for (int y = y0; y < y1; ++y) {
-    for (int x = x0; x < x1; ++x) {
-      out.At(x, y) =
-          RenderRay(source, mlp, camera.PixelRay(x, y), stats, counters);
-    }
-  }
 }
 
 Image VolumeRenderer::Render(const FieldSource& source, const Mlp& mlp,

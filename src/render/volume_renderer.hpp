@@ -6,12 +6,10 @@
 
 #include "common/image.hpp"
 #include "common/stats.hpp"
-#include "grid/occupancy.hpp"
 #include "grid/occupancy_octree.hpp"
 #include "render/camera.hpp"
 #include "render/field_source.hpp"
 #include "render/mlp.hpp"
-#include "render/skip_mode.hpp"
 
 namespace spnerf {
 
@@ -28,33 +26,19 @@ struct RenderOptions {
   Vec3f background{1.0f, 1.0f, 1.0f};
   /// Use the FP16 systolic-array MLP path.
   bool fp16_mlp = false;
-  /// Wavefront (batched) tile marching: per tile, the active rays' next
-  /// sample positions are gathered into one FieldSource::SampleBatch call
-  /// and the surviving samples shade through one Mlp::ForwardBatch — the
-  /// software mirror of the accelerator's decode->TIU->systolic dataflow.
-  /// Images, RenderStats and DecodeCounters are bit-identical to the scalar
-  /// per-ray path (execution policy, not semantics; excluded from pipeline
-  /// keys). Off = the scalar reference path, kept for differential testing.
-  bool wavefront = true;
-  /// Optional coarse occupancy for empty-space skipping (non-owning). All
-  /// compared pipelines use the same skip structure, as DVGO/VQRF do.
-  const CoarseOccupancy* coarse_skip = nullptr;
-  /// Optional occupancy octree reduced from `coarse_skip` (non-owning).
-  /// When attached and SPNF_SKIP resolves to octree (the default), empty
-  /// space is skipped through the octree's cached-node DDA path; images,
-  /// RenderStats and DecodeCounters stay bit-identical to the flat probe
-  /// (execution policy, not semantics; excluded from pipeline keys).
-  /// Ignored when `coarse_skip` is null.
+  /// Optional occupancy octree for empty-space skipping (non-owning). All
+  /// compared pipelines use the same skip structure, as DVGO/VQRF do. The
+  /// march crosses empty leaf cells through the octree's cached-node DDA
+  /// path; null marches every sample.
   const OccupancyOctree* octree_skip = nullptr;
   /// Degraded-preview skip granularity (quality ladder, render/quality.hpp):
-  /// when > 0 and the octree path is active, the empty-space march answers
-  /// occupancy this many octree levels ABOVE the leaves — the capped level's
-  /// OR-reduced bit is conservative (true whenever any descendant leaf is
-  /// occupied), so no occupied sample is ever skipped; empty space is
-  /// crossed in capped-level cells, which are 2^cap wider per axis, so a
-  /// sparse ray pays far fewer skip iterations. 0 (the default, and rung 0)
-  /// is the exact leaf-level chain — bit-identical to no cap. Ignored on
-  /// the flat path (SPNF_SKIP=flat has no coarser level to answer from).
+  /// when > 0, the empty-space march answers occupancy this many octree
+  /// levels ABOVE the leaves — the capped level's OR-reduced bit is
+  /// conservative (true whenever any descendant leaf is occupied), so no
+  /// occupied sample is ever skipped; empty space is crossed in
+  /// capped-level cells, which are 2^cap wider per axis, so a sparse ray
+  /// pays far fewer skip iterations. 0 (the default, and rung 0) is the
+  /// exact leaf-level chain.
   int octree_level_cap = 0;
 };
 
@@ -92,16 +76,7 @@ class RenderEngine;
 
 class VolumeRenderer {
  public:
-  /// Captures the process-global skip mode (skip::ActiveMode) at
-  /// construction — the engine builds one renderer per job, so a job never
-  /// changes skip structure mid-render. The octree path engages only when
-  /// both skip structures are attached; otherwise the renderer falls back
-  /// to the flat probe (or no skipping at all), whatever the mode says.
-  explicit VolumeRenderer(RenderOptions options = {})
-      : options_(options),
-        use_octree_(options.coarse_skip != nullptr &&
-                    options.octree_skip != nullptr &&
-                    skip::ActiveMode() == skip::Mode::kOctree) {}
+  explicit VolumeRenderer(RenderOptions options = {}) : options_(options) {}
 
   [[nodiscard]] const RenderOptions& Options() const { return options_; }
 
@@ -117,31 +92,22 @@ class VolumeRenderer {
                              const RenderEngine* engine = nullptr) const;
 
   /// Renders one pixel tile [x0,x1) x [y0,y1) of `camera`'s image into
-  /// `out` — the unit of work the tile engine schedules. Dispatches to the
-  /// wavefront marcher (options().wavefront, the default) or the scalar
-  /// per-ray loop; both produce bit-identical pixels, stats and counters.
-  /// `stats`/`counters` are this tile's shard accumulators (may be null).
+  /// `out` — the unit of work the tile engine schedules — with the
+  /// wavefront marcher: per iteration the active rays' next sample
+  /// positions go through one FieldSource::SampleBatch call and the alpha
+  /// survivors shade through Mlp::ForwardBatch in full blocks, the
+  /// software mirror of the accelerator's decode->TIU->systolic dataflow.
+  /// Pixels, stats and counters are bit-identical to a per-ray march with
+  /// a flat CoarseOccupancy skip chain (the oracle in
+  /// tests/support/reference_render.hpp). `stats`/`counters` are this
+  /// tile's shard accumulators (may be null).
   void RenderTile(const FieldSource& source, const Mlp& mlp,
                   const Camera& camera, int x0, int y0, int x1, int y1,
                   Image& out, RenderStats* stats = nullptr,
                   DecodeCounters* counters = nullptr) const;
 
-  /// Renders a single ray; exposed for tests, the trace generator and the
-  /// tile engine. `counters` is the decode-counter shard handed to the
-  /// field source (may be null).
-  [[nodiscard]] Vec3f RenderRay(const FieldSource& source, const Mlp& mlp,
-                                const Ray& ray, RenderStats* stats = nullptr,
-                                DecodeCounters* counters = nullptr) const;
-
  private:
-  /// The wavefront marcher behind RenderTile (options().wavefront == true).
-  void RenderTileWavefront(const FieldSource& source, const Mlp& mlp,
-                           const Camera& camera, int x0, int y0, int x1,
-                           int y1, Image& out, RenderStats* stats,
-                           DecodeCounters* counters) const;
-
   RenderOptions options_;
-  bool use_octree_ = false;  // skip mode, resolved once at construction
 };
 
 namespace render_detail {
@@ -150,8 +116,8 @@ namespace render_detail {
 /// resuming the march: `t = max(exit_t + kSkipForwardEpsilon, t + step)`.
 /// For grazing rays travelling along a cell face — where the exit boundary
 /// is the very plane the ray rides on — the bump alone guarantees strictly
-/// monotone progress. Shared by the scalar, wavefront and octree-DDA skip
-/// paths; it is part of the bit-exactness contract, not a tunable.
+/// monotone progress. Shared by the octree march and the flat reference
+/// chain; it is part of the bit-exactness contract, not a tunable.
 inline constexpr float kSkipForwardEpsilon = 1e-5f;
 
 /// Direction components with |d| below this are treated as parallel to the
@@ -159,18 +125,13 @@ inline constexpr float kSkipForwardEpsilon = 1e-5f;
 /// ~zero. Shared by every exit-distance computation.
 inline constexpr float kDegenerateDirectionEpsilon = 1e-12f;
 
-/// Distance along `ray` at which it exits `cell` (entered at parameter `t`).
-/// Always strictly greater than `t`: a degenerate (zero-area) cell, or a ray
-/// grazing a face, would otherwise return `t` unchanged and stall the
-/// empty-space-skipping march.
-float CellExitT(const Ray& ray, const Aabb& cell, float t);
-
-/// CellExitT over coarse cell `cell` of a `dims`-sized grid spanning
-/// [0,1]^3, without materialising the cell's Aabb: only the (at most 3)
-/// boundary planes the ray can exit through are computed, saving the 6
-/// divisions of CoarseOccupancy::CellBounds per empty cell. Bit-identical
-/// to `CellExitT(ray, CellBounds(cell), t)` by construction — the boundary
-/// expressions, comparison structure and axis order are the same.
+/// Distance along `ray` at which it exits coarse cell `cell` of a
+/// `dims`-sized grid spanning [0,1]^3, entered at parameter `t`. Only the
+/// (at most 3) boundary planes the ray can exit through are computed, with
+/// the exact CoarseOccupancy::CellBounds expressions, so it is
+/// bit-identical to the exit of that cell's Aabb. Always strictly greater
+/// than `t`: a ray grazing a face, or with no boundary ahead, would
+/// otherwise return `t` unchanged and stall the empty-space march.
 float CellExitTDda(const Ray& ray, Vec3i cell, const GridDims& dims, float t);
 
 }  // namespace render_detail

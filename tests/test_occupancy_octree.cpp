@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "render/camera.hpp"
 #include "render/volume_renderer.hpp"
+#include "support/reference_render.hpp"
 
 namespace spnerf {
 namespace {
@@ -204,28 +205,13 @@ TEST(OccupancyOctree, OccupiedAtAgreesWithLeafBitsEverywhere) {
 
 // ------------------------------------------------- DDA chain bit-exactness --
 
-/// One step of the flat reference chain (volume_renderer's oracle path).
-float FlatStep(const CoarseOccupancy& coarse, const Ray& ray, float t,
-               float step, bool& occupied) {
-  const Vec3f p = ray.At(t);
-  if (coarse.OccupiedAtWorld(p)) {
-    occupied = true;
-    return t;
-  }
-  occupied = false;
-  const Aabb cell = coarse.CellBounds(coarse.CellOfWorld(p));
-  const float exit_t = render_detail::CellExitT(ray, cell, t);
-  return std::max(exit_t + render_detail::kSkipForwardEpsilon, t + step);
-}
-
 /// One step of the octree DDA chain (cache + CellExitTDda).
-float OctreeStep(const CoarseOccupancy& coarse, const OccupancyOctree& tree,
-                 const Ray& ray, float t, float step, OctreeRayCache& cache,
-                 bool& occupied) {
+float OctreeStep(const OccupancyOctree& tree, const Ray& ray, float t,
+                 float step, OctreeRayCache& cache, bool& occupied) {
   const Vec3f p = ray.At(t);
   const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f || p.y > 1.f ||
                         p.z < 0.f || p.z > 1.f);
-  const Vec3i cell = coarse.CellOfWorld(p);
+  const Vec3i cell = tree.LeafCellOfWorld(p);
   if (inside && tree.OccupiedAt(cell, cache)) {
     occupied = true;
     return t;
@@ -254,8 +240,8 @@ void ExpectChainsIdentical(const CoarseOccupancy& coarse,
     ASSERT_EQ(coarse.CellOfWorld(ray.At(t_flat)),
               coarse.CellOfWorld(ray.At(t_tree)));
     bool occ_flat = false, occ_tree = false;
-    t_flat = FlatStep(coarse, ray, t_flat, step, occ_flat);
-    t_tree = OctreeStep(coarse, tree, ray, t_tree, step, cache, occ_tree);
+    t_flat = test::FlatStep(coarse, ray, t_flat, step, occ_flat);
+    t_tree = OctreeStep(tree, ray, t_tree, step, cache, occ_tree);
     ASSERT_EQ(occ_flat, occ_tree) << "occupancy verdicts diverged at t=" << t_flat;
     if (occ_flat) {
       // Both chains sample here; advance past it the way the marcher does.
@@ -283,7 +269,7 @@ TEST(OctreeDda, CellExitTDdaMatchesCellExitTBitwise) {
                      rng.UniformInt(0, ld.nz - 1)};
     const float t = rng.Uniform(0.f, 2.f);
     const float expect =
-        render_detail::CellExitT(ray, coarse.CellBounds(cell), t);
+        test::CellExitT(ray, coarse.CellBounds(cell), t);
     const float got = render_detail::CellExitTDda(ray, cell, ld, t);
     ASSERT_EQ(expect, got) << "ray " << i;
   }

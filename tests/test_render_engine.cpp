@@ -10,6 +10,7 @@
 #include "grid/occupancy.hpp"
 #include "grid/occupancy_octree.hpp"
 #include "scene/dataset.hpp"
+#include "support/reference_render.hpp"
 
 namespace spnerf {
 namespace {
@@ -54,7 +55,6 @@ class RenderEngineTest : public ::testing::Test {
     job.mlp = mlp_;
     job.camera = OrbitCameras(4, Vec3f{0.5f, 0.45f, 0.5f}, 1.35f, 25.f, 35.f,
                               size, size)[static_cast<std::size_t>(view)];
-    job.options.coarse_skip = occupancy_;
     job.options.octree_skip = octree_;
     job.collect_stats = true;
     return job;
@@ -109,17 +109,16 @@ TEST_F(RenderEngineTest, ParallelImageAndCountersMatchSequentialReference) {
   const SpNeRFFieldSource source(*codec_, false, false);
   const RenderJob job = MakeJob(source, 40);
 
-  // Hand-rolled fully sequential reference: one stats object, one counter
-  // sink, pixels in scanline order.
-  const VolumeRenderer renderer(job.options);
+  // Hand-rolled fully sequential reference: the per-ray oracle with one
+  // stats object, one counter sink, pixels in scanline order.
   Image ref(job.camera.Width(), job.camera.Height());
   RenderStats ref_stats;
   DecodeCounters ref_counters;
   for (int y = 0; y < job.camera.Height(); ++y) {
     for (int x = 0; x < job.camera.Width(); ++x) {
-      ref.At(x, y) = renderer.RenderRay(source, *mlp_,
-                                        job.camera.PixelRay(x, y), &ref_stats,
-                                        &ref_counters);
+      ref.At(x, y) = test::ReferenceRay(job.options, occupancy_, source,
+                                        *mlp_, job.camera.PixelRay(x, y),
+                                        &ref_stats, &ref_counters);
     }
   }
 

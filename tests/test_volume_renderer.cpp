@@ -5,6 +5,7 @@
 
 #include "render/embedding.hpp"
 #include "scene/dataset.hpp"
+#include "support/reference_render.hpp"
 
 namespace spnerf {
 namespace {
@@ -156,14 +157,14 @@ TEST(VolumeRenderer, CoarseSkipPreservesImage) {
   const SceneDataset ds = BuildDataset(SceneId::kMic, dp);
   const GridFieldSource src(ds.full_grid);
   const Mlp mlp = Mlp::Random(7);
-  const CoarseOccupancy occ =
-      CoarseOccupancy::Build(BitGrid::FromGrid(ds.full_grid), 4);
+  const OccupancyOctree tree = OccupancyOctree::Build(
+      CoarseOccupancy::Build(BitGrid::FromGrid(ds.full_grid), 4));
 
   const Camera cam({-0.8f, 0.6f, 0.5f}, {0.5f, 0.4f, 0.5f}, {0.f, 1.f, 0.f},
                    40.f, 24, 24);
   RenderOptions no_skip;
   RenderOptions with_skip;
-  with_skip.coarse_skip = &occ;
+  with_skip.octree_skip = &tree;
   RenderStats a, b;
   const Image img_a = VolumeRenderer(no_skip).Render(src, mlp, cam, &a);
   const Image img_b = VolumeRenderer(with_skip).Render(src, mlp, cam, &b);
@@ -208,7 +209,7 @@ TEST(CellExitT, DegenerateCellStillAdvances) {
   const Ray ray{{0.25f, 0.5f, 0.5f}, {1.f, 0.f, 0.f}};
   const Aabb degenerate{{0.25f, 0.5f, 0.5f}, {0.25f, 0.5f, 0.5f}};
   const float t = 0.0f;
-  const float exit_t = render_detail::CellExitT(ray, degenerate, t);
+  const float exit_t = test::CellExitT(ray, degenerate, t);
   EXPECT_GT(exit_t, t);
 }
 
@@ -218,18 +219,18 @@ TEST(CellExitT, RayOnFaceOfFlatCellAdvances) {
   const Ray ray{{0.5f, 0.25f, 0.5f}, {0.f, 1.f, 0.f}};
   const Aabb flat{{0.4f, 0.25f, 0.4f}, {0.6f, 0.25f, 0.6f}};
   const float t = 0.125f;
-  const float exit_t = render_detail::CellExitT(ray, flat, t);
+  const float exit_t = test::CellExitT(ray, flat, t);
   EXPECT_GT(exit_t, t);
   // Large t: the nextafter step must still strictly advance.
   const float t_big = 1024.0f;
-  EXPECT_GT(render_detail::CellExitT(ray, flat, t_big), t_big);
+  EXPECT_GT(test::CellExitT(ray, flat, t_big), t_big);
 }
 
 TEST(CellExitT, NormalCellReturnsExitBoundary)
 {
   const Ray ray{{-1.0f, 0.5f, 0.5f}, {1.f, 0.f, 0.f}};
   const Aabb cell{{0.0f, 0.0f, 0.0f}, {0.25f, 1.f, 1.f}};
-  const float exit_t = render_detail::CellExitT(ray, cell, 1.0f);
+  const float exit_t = test::CellExitT(ray, cell, 1.0f);
   EXPECT_NEAR(exit_t, 1.25f, 1e-5f);
 }
 
@@ -239,7 +240,7 @@ TEST(CellExitT, GrazingRayAlongCellFaceAdvances) {
   // kDegenerateDirectionEpsilon on that axis with the origin exactly on
   // the boundary. The degenerate axis must be ignored (no 0/0 or huge
   // negative boundary t), the remaining axes must still yield the exit,
-  // and the flat CellExitT and the division-free CellExitTDda used by the
+  // and the oracle's CellExitT and the Aabb-free CellExitTDda used by the
   // octree marcher must agree bitwise.
   const GridDims dims{10, 10, 10};
   const Vec3i cell{3, 4, 5};
@@ -254,7 +255,7 @@ TEST(CellExitT, GrazingRayAlongCellFaceAdvances) {
   for (const float dy : {0.f, 1e-13f, -1e-13f}) {
     ray.direction = Vec3f{1.f, dy, 0.f};
     for (const float t : {0.f, 0.005f, 0.08f}) {
-      const float flat = render_detail::CellExitT(ray, bounds, t);
+      const float flat = test::CellExitT(ray, bounds, t);
       const float dda = render_detail::CellExitTDda(ray, cell, dims, t);
       EXPECT_GT(flat, t) << "dy=" << dy << " t=" << t;
       EXPECT_EQ(flat, dda) << "dy=" << dy << " t=" << t;  // bitwise
@@ -266,7 +267,7 @@ TEST(CellExitT, GrazingRayAlongCellFaceAdvances) {
   // guard advances, and both variants must still agree bitwise.
   ray.direction = Vec3f{0.f, 0.f, 0.f};
   const float t = 0.25f;
-  const float flat = render_detail::CellExitT(ray, bounds, t);
+  const float flat = test::CellExitT(ray, bounds, t);
   EXPECT_GT(flat, t);
   EXPECT_EQ(flat, render_detail::CellExitTDda(ray, cell, dims, t));
 }

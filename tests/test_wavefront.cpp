@@ -1,7 +1,8 @@
-// Differential suite for the wavefront (batched) sampling path: images,
-// RenderStats and DecodeCounters must be BIT-identical to the scalar
-// per-ray reference for every field source, fp16 mode and worker count —
-// the wavefront refactor is execution policy, never semantics.
+// Differential suite for the wavefront (batched) marcher with octree
+// empty-space skipping: images, RenderStats and DecodeCounters must be
+// BIT-identical to the per-ray flat-chain oracle (support/reference_render)
+// for every field source, fp16 mode, worker count and SIMD path — batching
+// and the octree are execution policy, never semantics.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -12,8 +13,8 @@
 #include "obs/trace.hpp"
 #include "render/field_source.hpp"
 #include "render/render_engine.hpp"
-#include "render/skip_mode.hpp"
 #include "scene/dataset.hpp"
+#include "support/reference_render.hpp"
 
 namespace spnerf {
 namespace {
@@ -30,20 +31,6 @@ class ScopedSimdPath {
 
  private:
   simd::Path saved_;
-};
-
-/// Forces the SPNF_SKIP empty-space-skipping mode for one scope, restoring
-/// the previous mode on exit. Renderers capture the mode at construction,
-/// so the scope must cover the Render call, not just job setup.
-class ScopedSkipMode {
- public:
-  explicit ScopedSkipMode(skip::Mode m) : saved_(skip::SetActiveMode(m)) {}
-  ~ScopedSkipMode() { skip::SetActiveMode(saved_); }
-  ScopedSkipMode(const ScopedSkipMode&) = delete;
-  ScopedSkipMode& operator=(const ScopedSkipMode&) = delete;
-
- private:
-  skip::Mode saved_;
 };
 
 /// Batch sizes the per-kernel differential suites sweep: empty, single
@@ -117,70 +104,54 @@ class WavefrontTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  /// Renders one stats-on view of `source` through the tile engine.
-  static RenderResult RenderWith(const FieldSource& source, bool wavefront,
-                                 bool fp16_mlp, unsigned workers,
-                                 bool with_skip = true) {
-    // Camera partially off-box so missed rays exercise the miss path, with
-    // a 48x48 image over 32px tiles so tiles of both partial and full size
-    // reduce.
+  /// One stats-on view of `source`: camera partially off-box so missed
+  /// rays exercise the miss path, with a 48x48 image over 32px tiles so
+  /// tiles of both partial and full size reduce.
+  static RenderJob MakeJob(const FieldSource& source, bool fp16_mlp,
+                           bool with_skip = true) {
     RenderJob job;
     job.source = &source;
     job.mlp = mlp_;
     job.camera = Camera({-1.2f, 0.9f, 0.4f}, {0.5f, 0.45f, 0.5f},
                         {0.f, 1.f, 0.f}, 55.f, 48, 48);
-    job.options.wavefront = wavefront;
     job.options.fp16_mlp = fp16_mlp;
-    if (with_skip) {
-      job.options.coarse_skip = occupancy_;
-      job.options.octree_skip = octree_;
-    }
+    if (with_skip) job.options.octree_skip = octree_;
     job.collect_stats = true;
+    return job;
+  }
+
+  /// Production render of `job` through the tile engine.
+  static RenderResult RenderWith(const RenderJob& job, unsigned workers) {
     RenderEngineOptions opts;
     opts.max_threads = workers;
     return RenderEngine(opts).Render(job);
   }
 
-  /// The differential matrix for one source: scalar reference at 1 worker
-  /// vs wavefront at 1/2/8 workers, fp16_mlp off and on.
-  static void RunDifferential(const FieldSource& source) {
-    for (const bool fp16 : {false, true}) {
-      const RenderResult scalar = RenderWith(source, false, fp16, 1);
-      EXPECT_GT(scalar.stats.mlp_evals, 0u);  // non-trivial view
-      for (const unsigned workers : {1u, 2u, 8u}) {
-        const RenderResult wave = RenderWith(source, true, fp16, workers);
-        SCOPED_TRACE(std::string("fp16=") + (fp16 ? "1" : "0") +
-                     " workers=" + std::to_string(workers));
-        ExpectSameImage(scalar.image, wave.image);
-        ExpectSameStats(scalar.stats, wave.stats);
-        ExpectSameCounters(scalar.counters, wave.counters);
-      }
-    }
+  /// The oracle render of `job`, skipping over the coarse occupancy the
+  /// octree was built from when the job skips at all.
+  static RenderResult Reference(const RenderJob& job) {
+    return test::ReferenceRender(
+        job, job.options.octree_skip != nullptr ? occupancy_ : nullptr);
   }
 
-  /// Octree-vs-flat differential for one source: the octree marcher must
-  /// replay the flat skip chain bit-for-bit, so images, RenderStats
-  /// (including coarse_skips/steps) and DecodeCounters match EXACTLY
-  /// against the flat scalar reference for every execution policy.
-  static void RunSkipDifferential(const FieldSource& source) {
+  static void ExpectMatches(const RenderResult& want, const RenderResult& got) {
+    ExpectSameImage(want.image, got.image);
+    ExpectSameStats(want.stats, got.stats);
+    ExpectSameCounters(want.counters, got.counters);
+  }
+
+  /// The production-vs-oracle matrix for one source: fp16_mlp off and on,
+  /// 1/2/8 workers, octree skipping attached.
+  static void RunDifferential(const FieldSource& source) {
     for (const bool fp16 : {false, true}) {
-      RenderResult flat;
-      {
-        const ScopedSkipMode g(skip::Mode::kFlat);
-        flat = RenderWith(source, /*wavefront=*/false, fp16, 1);
-      }
-      EXPECT_GT(flat.stats.coarse_skips, 0u);  // skipping actually engaged
-      const ScopedSkipMode g(skip::Mode::kOctree);
-      for (const bool wavefront : {false, true}) {
-        for (const unsigned workers : {1u, 2u, 8u}) {
-          const RenderResult tree = RenderWith(source, wavefront, fp16, workers);
-          SCOPED_TRACE(std::string("fp16=") + (fp16 ? "1" : "0") +
-                       " wavefront=" + (wavefront ? "1" : "0") +
-                       " workers=" + std::to_string(workers));
-          ExpectSameImage(flat.image, tree.image);
-          ExpectSameStats(flat.stats, tree.stats);
-          ExpectSameCounters(flat.counters, tree.counters);
-        }
+      const RenderJob job = MakeJob(source, fp16);
+      const RenderResult want = Reference(job);
+      EXPECT_GT(want.stats.mlp_evals, 0u);     // non-trivial view
+      EXPECT_GT(want.stats.coarse_skips, 0u);  // skipping actually engaged
+      for (const unsigned workers : {1u, 2u, 8u}) {
+        SCOPED_TRACE(std::string("fp16=") + (fp16 ? "1" : "0") +
+                     " workers=" + std::to_string(workers));
+        ExpectMatches(want, RenderWith(job, workers));
       }
     }
   }
@@ -222,82 +193,27 @@ TEST_F(WavefrontTest, SpNeRFFp16TiuBitIdentical) {
   RunDifferential(source);
 }
 
-TEST_F(WavefrontTest, OctreeSkipAnalyticBitIdentical) {
-  const AnalyticFieldSource source(dataset_->scene);
-  RunSkipDifferential(source);
-}
-
-TEST_F(WavefrontTest, OctreeSkipGridBitIdentical) {
-  const GridFieldSource source(dataset_->full_grid);
-  RunSkipDifferential(source);
-}
-
-TEST_F(WavefrontTest, OctreeSkipSpNeRFBitIdentical) {
-  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
-                                 /*collect_counters=*/false);
-  RunSkipDifferential(source);
-}
-
-TEST_F(WavefrontTest, OctreeSkipSimdPathsBitIdentical) {
-  // The skip mode is orthogonal to the SIMD dispatch path: forcing either
-  // SIMD path must leave the octree-vs-flat differential bit-identical.
+TEST_F(WavefrontTest, SimdPathsMatchOracle) {
+  // Forcing either SIMD path must leave the production render bit-identical
+  // to the oracle, which never touches a SIMD kernel.
   const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true,
                                  /*collect_counters=*/false);
+  const RenderJob job = MakeJob(source, /*fp16_mlp=*/true);
+  const RenderResult want = Reference(job);
   for (const simd::Path path :
        {simd::Path::kScalar, simd::BestSupportedPath()}) {
     const ScopedSimdPath sp(path);
-    RenderResult flat, tree;
-    {
-      const ScopedSkipMode g(skip::Mode::kFlat);
-      flat = RenderWith(source, /*wavefront=*/true, /*fp16_mlp=*/true, 2);
-    }
-    {
-      const ScopedSkipMode g(skip::Mode::kOctree);
-      tree = RenderWith(source, /*wavefront=*/true, /*fp16_mlp=*/true, 2);
-    }
     SCOPED_TRACE(std::string("simd=") + simd::PathName(path));
-    ExpectSameImage(flat.image, tree.image);
-    ExpectSameStats(flat.stats, tree.stats);
-    ExpectSameCounters(flat.counters, tree.counters);
+    ExpectMatches(want, RenderWith(job, 2));
   }
-}
-
-TEST_F(WavefrontTest, OctreeModeWithoutOctreeFallsBackToFlat) {
-  // octree mode active but no octree attached: the renderer must degrade
-  // to the flat chain rather than dropping skipping entirely.
-  const SpNeRFFieldSource source(*codec_, false, false);
-  RenderResult flat, degraded;
-  {
-    const ScopedSkipMode g(skip::Mode::kFlat);
-    flat = RenderWith(source, false, false, 1);
-  }
-  {
-    const ScopedSkipMode g(skip::Mode::kOctree);
-    RenderJob job;
-    job.source = &source;
-    job.mlp = mlp_;
-    job.camera = Camera({-1.2f, 0.9f, 0.4f}, {0.5f, 0.45f, 0.5f},
-                        {0.f, 1.f, 0.f}, 55.f, 48, 48);
-    job.options.wavefront = false;
-    job.options.coarse_skip = occupancy_;  // octree_skip left null
-    job.collect_stats = true;
-    RenderEngineOptions opts;
-    opts.max_threads = 1;
-    degraded = RenderEngine(opts).Render(job);
-  }
-  ExpectSameImage(flat.image, degraded.image);
-  ExpectSameStats(flat.stats, degraded.stats);
 }
 
 TEST_F(WavefrontTest, NoSkipStructureBitIdentical) {
   const SpNeRFFieldSource source(*codec_, false, false);
-  const RenderResult scalar = RenderWith(source, false, false, 1,
-                                         /*with_skip=*/false);
-  const RenderResult wave = RenderWith(source, true, false, 2,
-                                       /*with_skip=*/false);
-  ExpectSameImage(scalar.image, wave.image);
-  ExpectSameStats(scalar.stats, wave.stats);
-  ExpectSameCounters(scalar.counters, wave.counters);
+  const RenderJob job = MakeJob(source, false, /*with_skip=*/false);
+  const RenderResult want = Reference(job);
+  EXPECT_EQ(want.stats.coarse_skips, 0u);
+  ExpectMatches(want, RenderWith(job, 2));
 }
 
 TEST_F(WavefrontTest, MaskingOffBitIdentical) {
@@ -307,12 +223,10 @@ TEST_F(WavefrontTest, MaskingOffBitIdentical) {
   SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
                            /*collect_counters=*/false);
   source.SetMasking(false);
-  const RenderResult scalar = RenderWith(source, false, false, 1);
-  const RenderResult wave = RenderWith(source, true, false, 2);
-  EXPECT_EQ(scalar.counters.bitmap_zero, 0u);
-  ExpectSameImage(scalar.image, wave.image);
-  ExpectSameStats(scalar.stats, wave.stats);
-  ExpectSameCounters(scalar.counters, wave.counters);
+  const RenderJob job = MakeJob(source, false);
+  const RenderResult want = Reference(job);
+  EXPECT_EQ(want.counters.bitmap_zero, 0u);
+  ExpectMatches(want, RenderWith(job, 2));
 }
 
 /// A front that mixes every case of the bitmap-first classification:
@@ -550,25 +464,24 @@ TEST_F(WavefrontTest, SimdForcedPathRenderBitIdentical) {
     SCOPED_TRACE(std::string("fp16=") + (fp16 ? "1" : "0"));
     const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/fp16,
                                    /*collect_counters=*/false);
+    const RenderJob job = MakeJob(source, fp16);
     RenderResult scalar_r, simd_r;
     {
       const ScopedSimdPath g(simd::Path::kScalar);
-      scalar_r = RenderWith(source, /*wavefront=*/true, fp16, 2);
+      scalar_r = RenderWith(job, 2);
     }
     {
       const ScopedSimdPath g(simd::BestSupportedPath());
-      simd_r = RenderWith(source, /*wavefront=*/true, fp16, 2);
+      simd_r = RenderWith(job, 2);
     }
-    ExpectSameImage(scalar_r.image, simd_r.image);
-    ExpectSameStats(scalar_r.stats, simd_r.stats);
-    ExpectSameCounters(scalar_r.counters, simd_r.counters);
+    ExpectMatches(scalar_r, simd_r);
   }
 }
 
 TEST_F(WavefrontTest, ShadeQueueFlushesMidMarchBitIdentical) {
   // The wavefront marcher shades alpha survivors in full batches: the
   // queue must have filled mid-march at least once in this frame, and the
-  // deferred composite must still equal the per-ray scalar render.
+  // deferred composite must still equal the per-ray oracle.
   const obs::TraceLevel saved =
       obs::SetActiveTraceLevel(obs::TraceLevel::kCounters);
   obs::Histogram& shade_batch =
@@ -576,44 +489,16 @@ TEST_F(WavefrontTest, ShadeQueueFlushesMidMarchBitIdentical) {
   shade_batch.ResetForTest();
   const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
                                  /*collect_counters=*/false);
-  const RenderResult scalar = RenderWith(source, false, false, 1);
-  EXPECT_EQ(shade_batch.Snapshot().count, 0u);  // the scalar path never queues
-  const RenderResult wave = RenderWith(source, true, false, 2);
+  const RenderJob job = MakeJob(source, false);
+  const RenderResult want = Reference(job);
+  const RenderResult wave = RenderWith(job, 2);
   const obs::HistogramSnapshot batches = shade_batch.Snapshot();
   obs::SetActiveTraceLevel(saved);
   EXPECT_EQ(batches.max, 256u);
+  // Every queued sample is one of the production render's MLP evals: the
+  // oracle, rendered first under the same trace level, never queues.
   EXPECT_EQ(batches.sum, wave.stats.mlp_evals);
-  ExpectSameImage(scalar.image, wave.image);
-  ExpectSameStats(scalar.stats, wave.stats);
-  ExpectSameCounters(scalar.counters, wave.counters);
-}
-
-TEST(SkipModeTest, ResolveOverrideRules) {
-  // The SPNF_SKIP resolution rule is pure and exposed exactly so this
-  // test can pin it without spawning subprocesses: absent/garbage ->
-  // octree (the default fast path); a parseable name -> that mode.
-  EXPECT_EQ(skip::ResolveOverride(nullptr), skip::Mode::kOctree);
-  EXPECT_EQ(skip::ResolveOverride(""), skip::Mode::kOctree);
-  EXPECT_EQ(skip::ResolveOverride("definitely-not-a-mode"),
-            skip::Mode::kOctree);
-  EXPECT_EQ(skip::ResolveOverride("flat"), skip::Mode::kFlat);
-  EXPECT_EQ(skip::ResolveOverride("octree"), skip::Mode::kOctree);
-  EXPECT_STREQ(skip::ModeName(skip::Mode::kFlat), "flat");
-  EXPECT_STREQ(skip::ModeName(skip::Mode::kOctree), "octree");
-  skip::Mode parsed = skip::Mode::kOctree;
-  EXPECT_TRUE(skip::ParseModeName("flat", parsed));
-  EXPECT_EQ(parsed, skip::Mode::kFlat);
-  EXPECT_FALSE(skip::ParseModeName("FLAT", parsed));  // contract: lower-case
-  EXPECT_EQ(parsed, skip::Mode::kFlat);               // untouched on failure
-}
-
-TEST(SkipModeTest, SetActiveModeRoundTrips) {
-  const skip::Mode before = skip::ActiveMode();
-  const skip::Mode prev = skip::SetActiveMode(skip::Mode::kFlat);
-  EXPECT_EQ(prev, before);  // returns the displaced mode for scoped saves
-  EXPECT_EQ(skip::ActiveMode(), skip::Mode::kFlat);
-  skip::SetActiveMode(before);
-  EXPECT_EQ(skip::ActiveMode(), before);
+  ExpectMatches(want, wave);
 }
 
 TEST(SimdDispatchTest, ResolveOverrideRules) {
