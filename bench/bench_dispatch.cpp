@@ -1,10 +1,8 @@
-// Microbenchmarks for the lock-free dispatch layer: the bounded queues in
-// isolation (common/mpmc_queue.hpp, common/spsc_queue.hpp) and the
-// ThreadPool scheduling paths. These are the per-operation costs the
-// serving-layer numbers in bench_serving decompose into; the
-// machine-readable entries go to BENCH_dispatch.json:
-//   dispatch/mpmc-uncontended   N push+pop pairs, one thread
-//   dispatch/mpmc-contended     N items through 2 producers + 2 consumers
+// Microbenchmarks for the dispatch layer: the SPSC ring in isolation
+// (common/spsc_queue.hpp, the trace-ring handoff) and the ThreadPool
+// scheduling paths. These are the per-operation costs the serving-layer
+// numbers in bench_serving decompose into; they are diagnostics, not
+// results. The machine-readable entries go to BENCH_dispatch.json:
 //   dispatch/spsc-pipe          N items through a 2-thread pipe
 //   dispatch/region             N blocking fork-joins (RunOnWorkers)
 //   dispatch/submit             N detached single-slot regions (Submit)
@@ -14,10 +12,8 @@
 #include <atomic>
 #include <cstdio>
 #include <thread>
-#include <vector>
 
 #include "bench/bench_util.hpp"
-#include "common/mpmc_queue.hpp"
 #include "common/spsc_queue.hpp"
 
 namespace {
@@ -37,55 +33,9 @@ int main(int argc, char** argv) {
   const auto regions = static_cast<std::size_t>(args.GetInt("regions", 4000));
   const auto threads = static_cast<unsigned>(args.GetInt("threads", 0));
 
-  bench::PrintHeader("dispatch",
-                     "lock-free queue/scheduler micro-costs");
+  bench::PrintHeader("dispatch", "queue/scheduler micro-costs");
   bench::JsonReport json("dispatch");
   std::size_t checksum = 0;  // defeats dead-code elimination
-
-  {
-    MpmcQueue<std::size_t> q(1024);
-    bench::WallTimer t;
-    for (std::size_t i = 0; i < ops; ++i) {
-      q.TryPush(i);
-      std::size_t v = 0;
-      q.TryPop(v);
-      checksum += v;
-    }
-    const double ms = t.ElapsedMs();
-    PrintRow("mpmc uncontended", ms, ops);
-    json.Add("dispatch/mpmc-uncontended", ms, 1);
-  }
-
-  {
-    constexpr std::size_t kSides = 2;
-    MpmcQueue<std::size_t> q(256);
-    std::atomic<std::size_t> popped{0};
-    bench::WallTimer t;
-    std::vector<std::thread> workers;
-    for (std::size_t c = 0; c < kSides; ++c) {
-      workers.emplace_back([&] {
-        std::size_t v = 0;
-        while (popped.load(std::memory_order_relaxed) < ops) {
-          if (q.TryPop(v)) {
-            popped.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            std::this_thread::yield();
-          }
-        }
-      });
-    }
-    for (std::size_t p = 0; p < kSides; ++p) {
-      workers.emplace_back([&, p] {
-        for (std::size_t i = p; i < ops; i += kSides) {
-          while (!q.TryPush(i)) std::this_thread::yield();
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    const double ms = t.ElapsedMs();
-    PrintRow("mpmc 2p/2c contended", ms, ops);
-    json.Add("dispatch/mpmc-contended", ms, kSides * 2);
-  }
 
   {
     SpscQueue<std::size_t> q(256);

@@ -1,8 +1,9 @@
-// The scheduler has one implementation (common/parallel.hpp): lock-free
-// work tokens plus CAS admission in serve/. This constant survives only
-// because the repository benchmark (perfbench/) still reads the mode to
-// refuse non-default runs and to label its host block; delete it once the
-// benchmark stops reading it.
+// A frozen label, not a description of the scheduler. The scheduler has one
+// implementation (common/parallel.hpp), one mutex per scheduler, and no
+// mode. The repository benchmark (perfbench/) still compiles against
+// `Mode::kLockFree` and prints "lockfree" in its host block, so those names
+// stay byte-for-byte until the benchmark stops reading them; then delete
+// this header.
 #pragma once
 
 #include "common/types.hpp"

@@ -10,19 +10,18 @@
 // regardless of the worker count, the schedule, or what other regions the
 // pool is running concurrently.
 //
-// Workers pull region tokens from a bounded Vyukov MPMC ring
-// (common/mpmc_queue.hpp) and claim slots through per-region atomic
-// cursors. The pool mutex+condvar survive only as the sleep/wake slow path
-// (eventcount-style spin-then-park), so dispatching onto an already-awake
-// pool takes zero lock acquisitions. See ARCHITECTURE.md, "Dispatch path",
-// for the full memory-order and liveness argument.
+// The scheduler is one mutex plus two condition variables. Open regions
+// wait in a FIFO under the mutex; workers and dispatchers claim a slot
+// under it and run the slot body unlocked. Regions are coarse (a rendered
+// frame issues a handful), so the lock is not the bottleneck, and every
+// handoff is visible to ThreadSanitizer. See ARCHITECTURE.md, "Dispatch
+// path".
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -31,7 +30,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/mpmc_queue.hpp"
 #include "common/types.hpp"
 
 namespace spnerf {
@@ -51,14 +49,11 @@ namespace spnerf {
 class ThreadPool {
  public:
   /// `workers = 0` sizes the pool to std::thread::hardware_concurrency().
-  /// `token_capacity` bounds the lock-free work-token ring; tokens beyond
-  /// it spill to a mutex-guarded overflow list (correct, slower — tests
-  /// shrink the ring to force that path).
-  explicit ThreadPool(unsigned workers = 0,
-                      std::size_t token_capacity = kDefaultTokenCapacity);
-  /// Waits for every live region (blocking and detached) to finish, then
-  /// joins the workers. Detached completions always run before destruction
-  /// returns.
+  explicit ThreadPool(unsigned workers = 0);
+  /// Runs every queued detached region to completion, then joins the
+  /// workers. Each detached completion runs exactly once before destruction
+  /// returns; Submit calls made meanwhile (from a completion, say) run
+  /// inline.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -108,33 +103,25 @@ class ThreadPool {
   void Submit(unsigned slots, std::function<void(unsigned)> fn,
               std::function<void()> on_complete = {});
 
-  static constexpr std::size_t kDefaultTokenCapacity = 1024;
-
  private:
-  /// One live parallel region. The claim cursor, the completion latch and
-  /// the token refcount are raced on directly by the dispatcher and the
-  /// workers.
+  /// One live parallel region. The fields up to `slots` are set before the
+  /// region is queued and only read afterwards; the claim cursor, the latch
+  /// and `error` are guarded by the pool's mutex_.
   struct Region {
     void (*invoke)(void*, unsigned) = nullptr;  // blocking regions
     void* ctx = nullptr;
     std::function<void(unsigned)> body;    // detached regions own their fn
     std::function<void()> on_complete;     // detached only
     unsigned slots = 0;
-    std::atomic<unsigned> next_slot{0};    // claim cursor
-    std::atomic<unsigned> remaining{0};    // completion latch
-    /// Work tokens in flight that still name this region.
-    /// A blocking region's stack frame may not be abandoned until every
-    /// token was consumed (tokens the dispatcher raced past go stale and
-    /// are dropped on pop, but the pop itself dereferences the region).
-    std::atomic<unsigned> token_refs{0};
+    unsigned next_slot = 0;  // claim cursor
+    unsigned remaining = 0;  // slots not yet finished
     bool detached = false;
     /// Trace-clock stamp of the detached region's submission; 0 = tracing
     /// off. The last finisher emits the region-lifetime span from it.
     u64 trace_start_ns = 0;
-    /// First exception a slot body threw (claimed via `error_claimed`).
-    /// Blocking dispatchers rethrow it after the region completes; detached
-    /// regions drop it (their submitters guard their own bodies).
-    std::atomic<bool> error_claimed{false};
+    /// First exception a slot body threw. Blocking dispatchers rethrow it
+    /// after the region completes; detached regions drop it (their
+    /// submitters guard their own bodies).
     std::exception_ptr error;
 
     void Run(unsigned slot) { invoke ? invoke(ctx, slot) : body(slot); }
@@ -142,41 +129,29 @@ class ThreadPool {
 
   void Dispatch(void (*invoke)(void*, unsigned), void* ctx, unsigned slots);
   void WorkerLoop();
-  /// Pushes `count` work tokens naming `region` (ring first, mutex-guarded
-  /// overflow when full) and wakes sleeping workers.
-  void PushTokens(Region* region, unsigned count);
-  /// Pops one token (ring first, then overflow). False when no work.
-  bool PopToken(Region*& region);
-  /// Claims and runs one slot of `region` (drops the token if the cursor
-  /// is already exhausted), then finishes the slot.
-  void ProcessToken(Region* region);
-  void FinishSlot(Region* region);
-  void DropTokenRef(Region* region);
-  /// Decrements the live-region count; wakes region waiters on zero.
-  void DropLiveRegion();
-  /// Wakes threads parked on region_done_ (blocking dispatchers and the
-  /// destructor) if any are parked. Callers must not touch the region that
-  /// triggered the wake afterwards — its owner may already be freeing it.
-  void WakeRegionWaiters();
+  /// Claims the next slot of `region` and drops the region from open_ once
+  /// its last slot is claimed. Caller holds mutex_ and has checked that an
+  /// unclaimed slot exists.
+  unsigned ClaimSlotLocked(Region* region);
+  /// Wakes up to `count` idle workers. Caller holds mutex_.
+  void WakeWorkersLocked(unsigned count);
+  /// Runs one claimed slot with mutex_ released, capturing its exception.
+  void RunSlot(Region* region, unsigned slot,
+               std::unique_lock<std::mutex>& lock);
+  /// Retires one finished slot. The last slot of a blocking region wakes
+  /// its dispatcher; the last slot of a detached region frees the record
+  /// and runs the completion with mutex_ released.
+  void FinishSlotLocked(Region* region, std::unique_lock<std::mutex>& lock);
 
   unsigned worker_count_ = 1;
   std::vector<std::thread> threads_;  // worker_count_ - 1 entries
 
   std::mutex mutex_;
-  std::condition_variable work_ready_;   // workers: work exists
+  std::condition_variable work_ready_;   // workers: a region opened
   std::condition_variable region_done_;  // dispatchers + destructor
-  std::atomic<std::size_t> live_regions_{0};  // enqueued, not fully finished
-  std::atomic<bool> stopping_{false};
-
-  // The token ring carries all steady-state work distribution; `overflow_`
-  // (guarded by mutex_) absorbs pushes when the ring is full; the two
-  // counters below drive the eventcount sleep/wake protocol (see
-  // parallel.cpp for the fence argument).
-  MpmcQueue<Region*> tokens_;
-  std::deque<Region*> overflow_;               // guarded by mutex_
-  std::atomic<std::size_t> overflow_count_{0};
-  std::atomic<int> sleepers_{0};          // workers parked / about to park
-  std::atomic<int> region_waiters_{0};    // parked on region_done_
+  std::deque<Region*> open_;      // guarded: regions with unclaimed slots
+  std::size_t live_detached_ = 0;  // guarded: completions not yet run
+  bool stopping_ = false;         // guarded
 };
 
 /// Invokes fn(begin, end) on contiguous chunks of [0, n) across the pool's

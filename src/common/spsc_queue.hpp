@@ -1,8 +1,8 @@
 // Bounded single-producer single-consumer ring queue. The cheapest possible
 // handoff between exactly two threads: one plain index per side, one
 // acquire/release pair per transfer, no CAS at all. Use it when the
-// topology is a fixed pipe (one producer thread, one consumer thread); use
-// MpmcQueue when either side can be entered concurrently.
+// topology is a fixed pipe (one producer thread, one consumer thread), as
+// in the per-thread trace rings of obs/trace.cpp.
 //
 // Memory-order contract (every operation annotated):
 //   * `tail_` is written only by the producer, `head_` only by the
@@ -22,9 +22,12 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/mpmc_queue.hpp"  // kCacheLineSize
 
 namespace spnerf {
+
+/// Cache-line stride used to keep the producer and consumer indices off each
+/// other's line (the classic false-sharing hazard of ring queues).
+inline constexpr std::size_t kCacheLineSize = 64;
 
 template <typename T>
 class SpscQueue {

@@ -186,7 +186,6 @@ RenderService::RenderService(RenderServiceOptions options)
       clock_(options.clock ? *options.clock : SystemClock()),
       engine_(options.engine),
       governor_(options.ladder, options.queue_capacity),
-      inbox_(std::max<std::size_t>(options.queue_capacity, 1)),
       paused_(options.start_paused) {
   SPNERF_CHECK_MSG(options_.queue_capacity > 0,
                    "serve: queue capacity must be positive");
@@ -201,19 +200,11 @@ RenderService::RenderService(RenderServiceOptions options)
 RenderService::~RenderService() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stopping_.store(true, std::memory_order_seq_cst);
+    stopping_ = true;
     paused_ = false;
   }
   work_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Shed fast-path stragglers that raced the stopping flag into the inbox
-  // after the dispatcher's final drain: their futures must still resolve.
-  Pending* raw = nullptr;
-  while (inbox_.TryPop(raw)) {
-    PendingHandle entry(raw);
-    queued_count_.fetch_sub(1, std::memory_order_relaxed);
-    Shed(*entry, RequestStatus::kRejected);
-  }
 }
 
 void RenderService::Shed(Pending& entry, RequestStatus status) {
@@ -255,20 +246,6 @@ void RenderService::DecKeyCountLocked(const std::string& key) {
   if (it != key_counts_.end() && --it->second == 0) key_counts_.erase(it);
 }
 
-void RenderService::DrainInboxLocked() {
-  Pending* raw = nullptr;
-  while (inbox_.TryPop(raw)) {
-    PendingHandle entry(raw);
-    // Inbox FIFO order is submission order per producer, so assigning the
-    // sequence here preserves the FIFO tie-break.
-    entry->sequence = next_sequence_++;
-    ++key_counts_[entry->batch_key];
-    queue_.push_back(std::move(entry));
-  }
-  // queued_count_ is unchanged: inbox entries were counted when their seat
-  // was claimed at admission.
-}
-
 bool RenderService::SweepSomeExpiredLocked(
     std::chrono::steady_clock::time_point now,
     std::vector<PendingHandle>& out) {
@@ -287,7 +264,6 @@ bool RenderService::SweepSomeExpiredLocked(
         // scheduling decision ranks by Outranks(), never by position.
         queue_[sweep_pos_] = std::move(queue_.back());
         queue_.pop_back();
-        queued_count_.fetch_sub(1, std::memory_order_relaxed);
         freed = true;
       } else {
         ++sweep_pos_;
@@ -300,20 +276,6 @@ bool RenderService::SweepSomeExpiredLocked(
     if (freed) break;
   }
   return freed;
-}
-
-void RenderService::WakeDispatcher() {
-  // Producer half of the dispatcher eventcount. The inbox push is already
-  // done; the fence orders it against the parked-flag read (Dekker with the
-  // dispatcher's seq_cst parked store + fence + inbox check): whichever
-  // side's seq_cst step comes first in the total order, either the
-  // dispatcher's predicate sees the push or this sees the announcement and
-  // notifies under the lock.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (dispatcher_parked_.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    work_cv_.notify_all();
-  }
 }
 
 std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
@@ -337,88 +299,31 @@ std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
     // Stamp the span start on the trace clock and intern the batch key once
     // per request — every later event of this request reuses both. The
     // intern lookup is lock-free (allocation only on a key's first-ever
-    // occurrence); recording stays lock-free end to end.
+    // occurrence).
     entry->trace_submit_ns = obs::TraceNowNs();
     entry->trace_key_id = obs::InternString(entry->batch_key);
     obs::EmitInstant("serve", "admit", entry->request_id);
   }
   std::future<RenderResponse> future = entry->promise.get_future();
 
-  if (stopping_.load(std::memory_order_acquire)) {
-    stats_.RecordSubmitted(0);
-    Shed(*entry, RequestStatus::kRejected);
-    return future;
-  }
-
-  // Admission fast path: claim a seat below capacity by CAS and ride the
-  // inbox ring to the dispatcher — no mutex anywhere. The dispatcher
-  // assigns the sequence when it folds the inbox in, which preserves
-  // submission order per producer (inbox is FIFO).
-  std::size_t n = queued_count_.load(std::memory_order_relaxed);
-  while (n < options_.queue_capacity) {
-    if (!queued_count_.compare_exchange_weak(n, n + 1,
-                                             std::memory_order_relaxed)) {
-      continue;
-    }
-    Pending* raw = entry.release();
-    if (!inbox_.TryPush(raw)) {
-      // Full or transiently busy: the seat count bounds inbox occupancy by
-      // its capacity, but a cell can still be mid-pop. Return the seat and
-      // take the locked path.
-      entry.reset(raw);
-      queued_count_.fetch_sub(1, std::memory_order_relaxed);
-      break;
-    }
-    stats_.RecordSubmitted(n + 1);
-    WakeDispatcher();
-    return future;
-  }
-  // Queue full: shed/evict decisions need the ranked queue — take the
-  // locked slow path (which still resolves every shed future before
-  // returning).
-  return SubmitLocked(std::move(entry), std::move(future));
-}
-
-std::future<RenderResponse> RenderService::SubmitLocked(
-    PendingHandle entry, std::future<RenderResponse> future) {
   std::unique_lock<std::mutex> lock(mutex_);
-  // Fold any inbox backlog in first: the capacity and eviction decisions
-  // below must rank against every admitted request, and this entry's
-  // sequence must come after theirs (they were submitted earlier).
-  DrainInboxLocked();
   entry->sequence = next_sequence_++;
-  if (stopping_.load(std::memory_order_relaxed)) {
+  if (stopping_) {
     lock.unlock();
     stats_.RecordSubmitted(0);
     Shed(*entry, RequestStatus::kRejected);
     return future;
   }
 
-  // The atomic seat count — not queue_.size() — is the one capacity gate:
-  // lock-free admitters race this CAS without the lock.
-  auto claim_seat = [this] {
-    std::size_t n = queued_count_.load(std::memory_order_relaxed);
-    while (n < options_.queue_capacity) {
-      if (queued_count_.compare_exchange_weak(n, n + 1,
-                                              std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  };
-
   std::vector<PendingHandle> dead;
-  bool seated = claim_seat();
-  if (!seated) {
-    // A full queue may be holding already-expired entries; shed those
-    // first — dead work must neither consume capacity nor hold its
-    // (earliest-deadline, hence highest) rank against live arrivals.
-    if (SweepSomeExpiredLocked(clock_.Now(), dead)) seated = claim_seat();
-  }
-  if (seated) {
+  // A full queue may be holding already-expired entries; shed those first —
+  // dead work must neither consume capacity nor hold its (earliest-deadline,
+  // hence highest) rank against live arrivals.
+  if (queue_.size() < options_.queue_capacity ||
+      SweepSomeExpiredLocked(clock_.Now(), dead)) {
     ++key_counts_[entry->batch_key];
     queue_.push_back(std::move(entry));
-    const std::size_t depth = queued_count_.load(std::memory_order_relaxed);
+    const std::size_t depth = queue_.size();
     lock.unlock();
     for (PendingHandle& e : dead) Shed(*e, RequestStatus::kExpired);
     stats_.RecordSubmitted(depth);
@@ -426,10 +331,11 @@ std::future<RenderResponse> RenderService::SubmitLocked(
     return future;
   }
 
-  // Still full of live work: degrade over reject — open the governor's
-  // pressure window before any shedding decision, so subsequent issues run
-  // cheap rungs, the queue drains faster and the next admission finds a
-  // seat instead of this dead end. (A disabled governor ignores it.)
+  // Still full of live work (so the sweep shed nothing): degrade over
+  // reject — open the governor's pressure window before any shedding
+  // decision, so subsequent issues run cheap rungs, the queue drains faster
+  // and the next admission finds a seat instead of this dead end. (A
+  // disabled governor ignores it.)
   if (governor_.Enabled()) governor_.NotePressure();
 
   // Load shedding: drop the lowest-ranked request
@@ -448,19 +354,15 @@ std::future<RenderResponse> RenderService::SubmitLocked(
     DecKeyCountLocked(evicted->batch_key);
     ++key_counts_[entry->batch_key];
     queue_.push_back(std::move(entry));
-    // The evicted entry's seat transfers to the incoming one:
-    // queued_count_ is unchanged.
-    const std::size_t depth = queued_count_.load(std::memory_order_relaxed);
+    const std::size_t depth = queue_.size();
     lock.unlock();
-    for (PendingHandle& e : dead) Shed(*e, RequestStatus::kExpired);
     stats_.RecordSubmitted(depth);
     Shed(*evicted, RequestStatus::kRejected);
     work_cv_.notify_one();
     return future;
   }
-  const std::size_t depth = queued_count_.load(std::memory_order_relaxed);
+  const std::size_t depth = queue_.size();
   lock.unlock();
-  for (PendingHandle& e : dead) Shed(*e, RequestStatus::kExpired);
   stats_.RecordSubmitted(depth);
   Shed(*entry, RequestStatus::kRejected);
   return future;
@@ -478,16 +380,13 @@ void RenderService::Drain() {
   Start();
   std::unique_lock<std::mutex> lock(mutex_);
   idle_cv_.wait(lock, [this] {
-    return (queued_count_.load(std::memory_order_relaxed) == 0 &&
-            inflight_batches_ == 0) ||
-           stopping_.load(std::memory_order_relaxed);
+    return (queue_.empty() && inflight_batches_ == 0) || stopping_;
   });
 }
 
 std::size_t RenderService::QueueDepth() const {
-  // Admitted and not yet dispatched or shed, inbox included — maintained
-  // atomically, so no lock.
-  return queued_count_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size();
 }
 
 std::size_t RenderService::InflightBatches() const {
@@ -701,35 +600,20 @@ void RenderService::DispatcherLoop() {
     std::vector<PendingHandle> expired;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      // Park announcement (Dekker pair with WakeDispatcher): parked is set
-      // seq_cst before the wait predicate reads the inbox, and a producer
-      // pushes before its fence + parked read — whichever side's seq_cst
-      // step comes first in the total order, either the predicate sees the
-      // push or the producer sees the announcement and notifies under the
-      // lock.
-      dispatcher_parked_.store(true, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
       work_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_relaxed) || !inbox_.Empty() ||
+        return stopping_ ||
                (!paused_ &&
                 inflight_batches_ < options_.max_inflight_batches &&
                 HasDispatchableLocked());
       });
-      dispatcher_parked_.store(false, std::memory_order_relaxed);
-      // Fold admissions in before any decision: sequences, key counts and
-      // the ranked queue must cover every entry admitted so far.
-      DrainInboxLocked();
 
-      if (stopping_.load(std::memory_order_relaxed)) {
+      if (stopping_) {
         // Complete the backlog as rejected so no future dangles, then wait
         // out the in-flight batches — their completion halves touch the
         // service and must finish before it tears down.
         std::vector<PendingHandle> drained;
         drained.swap(queue_);
         key_counts_.clear();
-        if (!drained.empty()) {
-          queued_count_.fetch_sub(drained.size(), std::memory_order_relaxed);
-        }
         work_cv_.wait(lock, [this] { return inflight_batches_ == 0; });
         lock.unlock();
         for (PendingHandle& entry : drained) {
@@ -762,9 +646,6 @@ void RenderService::DispatcherLoop() {
           ++write;
         }
         queue_.resize(write);
-        if (!expired.empty()) {
-          queued_count_.fetch_sub(expired.size(), std::memory_order_relaxed);
-        }
 
         if (best != kNoBest) {
           batch = std::make_shared<InflightBatch>();
@@ -774,8 +655,7 @@ void RenderService::DispatcherLoop() {
           // clock, queue depth now, cost model), so a staged backlog
           // replays the identical rung sequence at any worker count. A
           // disabled governor always answers kFull.
-          const std::size_t depth_at_issue =
-              queued_count_.load(std::memory_order_relaxed);
+          const std::size_t depth_at_issue = queue_.size();
           const auto decide_rung = [&](const Pending& e) {
             const bool has_deadline =
                 e.deadline != Clock::time_point::max();
@@ -790,7 +670,6 @@ void RenderService::DispatcherLoop() {
           DecKeyCountLocked(batch->key);
           batch->entries.push_back(std::move(queue_[best]));
           queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-          std::size_t removed = 1;
           // Coalesce only when the key count says a mate exists — the
           // batch-size-1 fast path skips the scan entirely. Mates join in
           // scheduling order, not submission order: when max_batch binds,
@@ -826,10 +705,8 @@ void RenderService::DispatcherLoop() {
                                             return e == nullptr;
                                           }),
                            queue_.end());
-              removed += mates.size();
             }
           }
-          queued_count_.fetch_sub(removed, std::memory_order_relaxed);
           inflight_keys_.insert(batch->key);
           ++inflight_batches_;
           batch->dispatch_index = next_dispatch_++;
@@ -846,7 +723,7 @@ void RenderService::DispatcherLoop() {
           }
         }
       }
-      const std::size_t depth = queued_count_.load(std::memory_order_relaxed);
+      const std::size_t depth = queue_.size();
       stats_.RecordQueueDepth(depth);
       // Close the pressure window once the backlog has drained below the
       // low-water mark (no-op while it isn't open).

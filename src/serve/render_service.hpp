@@ -16,12 +16,9 @@
 //     status) if the incoming one outranks it; otherwise the incoming
 //     request is rejected immediately. The service never grows an unbounded
 //     backlog — overload turns into rejections, not latency collapse.
-//     Admission with a free seat is lock-free: the entry claims a seat by
-//     CAS on the queued count and rides a bounded MPMC inbox ring to the
-//     dispatcher, which folds the inbox into the ranked queue at its own
-//     serialization point. Only a full queue (shed/evict decisions) or a
-//     transiently busy inbox push takes the service mutex, so overflow
-//     futures still resolve before Submit returns.
+//     Admission takes the service mutex once: it assigns the FIFO sequence
+//     and seats, sweeps, evicts or rejects against the ranked queue in one
+//     step, and every shed future resolves before Submit returns.
 //   * Scheduling order. Highest priority first; within a priority class,
 //     earliest absolute deadline first (requests without a deadline sort
 //     last); FIFO as the tie-break. Deterministic for a fixed submit order.
@@ -74,7 +71,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/mpmc_queue.hpp"
 #include "core/pipeline_repository.hpp"
 #include "serve/quality_governor.hpp"
 #include "serve/service_stats.hpp"
@@ -218,15 +214,6 @@ class RenderService {
 
   using PendingHandle = std::unique_ptr<Pending>;
 
-  /// Admission slow path, taken when the queue looks full: folds the inbox
-  /// into the ranked queue under mutex_, then seats, evicts or rejects the
-  /// entry. Every shed future is resolved before this returns.
-  std::future<RenderResponse> SubmitLocked(PendingHandle entry,
-                                           std::future<RenderResponse> future);
-  /// Producer half of the dispatcher eventcount: publish (the inbox push),
-  /// seq_cst fence, then lock + notify only when the dispatcher announced
-  /// itself parked.
-  void WakeDispatcher();
   void DispatcherLoop();
   /// Issue half, heavy part: acquires the pipeline, builds the jobs and
   /// hands the batch to RenderEngine::SubmitBatch. Runs as a detached task
@@ -244,11 +231,6 @@ class RenderService {
   void ReleaseBatch(const InflightBatch& batch);
   /// Completes `entry` as shed with `status` and records stats.
   void Shed(Pending& entry, RequestStatus status);
-  /// Moves every inbox entry into the ranked queue (assigning its sequence
-  /// — inbox FIFO order is submission order for each producer) and its key
-  /// count. Caller must hold mutex_. queued_count_ is unchanged: inbox
-  /// entries were counted when their seat was claimed at admission.
-  void DrainInboxLocked();
   /// Incremental expiry sweep for a full-queue admission: scans bounded
   /// chunks from a rotating cursor and stops as soon as one seat frees, so
   /// an admit over a deep backlog of expired entries does O(chunk) work,
@@ -276,33 +258,20 @@ class RenderService {
   /// answers kFull.
   QualityGovernor governor_;
 
-  /// Lock-free admission inbox (bounded MPMC ring). Fast-path Submit pushes
-  /// raw entry pointers here; only the dispatcher (or a slow-path Submit)
-  /// pops, folding them into queue_ under mutex_.
-  MpmcQueue<Pending*> inbox_;
-  /// Entries admitted and not yet dispatched or shed == inbox occupancy +
-  /// queue_.size(). The one admission capacity gate: a seat is claimed by
-  /// CAS below queue_capacity, so the lock-free fast path and the locked
-  /// slow path share one source of truth.
-  std::atomic<std::size_t> queued_count_{0};
-  /// Dispatcher parked-announcement flag for WakeDispatcher's eventcount.
-  std::atomic<bool> dispatcher_parked_{false};
   /// Request correlation ids for the tracing layer: every admitted request
-  /// gets one (relaxed fetch_add — stays on the lock-free fast path), and
-  /// every span/instant of its lifetime carries it as the trace flow id.
+  /// gets one before admission takes the lock, and every span/instant of
+  /// its lifetime carries it as the trace flow id.
   std::atomic<u64> next_request_id_{1};
-  /// Atomic so the lock-free fast path can check shutdown without the lock;
-  /// stragglers that race the flag are shed by the destructor's final inbox
-  /// drain.
-  std::atomic<bool> stopping_{false};
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // dispatcher wakeups
   std::condition_variable idle_cv_;   // Drain() wakeups
+  /// Admitted and not yet dispatched or shed; its size is the queue depth
+  /// that queue_capacity bounds.
   std::vector<PendingHandle> queue_;  // guarded by mutex_
-  /// Queued entries per batch key (inbox excluded until drained). Lets the
-  /// dispatcher skip the coalescing mate-scan entirely when the chosen
-  /// request is the only one of its key — the batch-size-1 fast path.
+  /// Queued entries per batch key. Lets the dispatcher skip the coalescing
+  /// mate-scan entirely when the chosen request is the only one of its
+  /// key — the batch-size-1 fast path.
   std::unordered_map<std::string, std::size_t> key_counts_;  // guarded by mutex_
   std::unordered_set<std::string> inflight_keys_;  // guarded by mutex_
   std::size_t inflight_batches_ = 0;  // guarded by mutex_
@@ -310,6 +279,7 @@ class RenderService {
   u64 next_sequence_ = 0;             // guarded by mutex_
   u64 next_dispatch_ = 0;             // guarded by mutex_
   bool paused_ = false;               // guarded by mutex_
+  bool stopping_ = false;             // guarded by mutex_
   std::thread dispatcher_;
 };
 

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "support/watchdog.hpp"
+
 namespace spnerf {
 namespace {
 
@@ -321,28 +323,34 @@ TEST(ThreadPool, DestroyingThePoolRunsEveryQueuedCompletionOnce) {
   }
 }
 
-TEST(ThreadPool, TinyTokenRingSpillsToOverflowCorrectly) {
-  // A deliberately undersized token ring forces the overflow path (tokens
-  // beyond the ring spill to the mutex-guarded list): many concurrent
-  // regions must still all complete with every slot run exactly once.
-  ThreadPool pool(4, /*token_capacity=*/2);
-  constexpr std::size_t kThreads = 3;
-  constexpr int kRounds = 40;
-  std::vector<std::atomic<int>> totals(kThreads);
-  for (auto& t : totals) t = 0;
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        pool.RunOnWorkers(4, [&](unsigned slot) {
-          ASSERT_LT(slot, 4u);
-          ++totals[t];
-        });
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (const auto& t : totals) EXPECT_EQ(t.load(), kRounds * 4);
+TEST(ThreadPool, IdleGapsNeverStrandARegion) {
+  // Every round starts after a gap long enough for all workers to go idle
+  // and block, so each blocking and detached region has to wake a sleeping
+  // pool. A lost wakeup strands the region; the watchdog turns that into a
+  // failure instead of a hang.
+  constexpr int kRounds = 300;
+  ThreadPool pool(4);
+  std::atomic<int> blocking_slots{0};
+  std::atomic<int> detached_slots{0};
+  std::atomic<int> completions{0};
+  test::RunWithWatchdog(std::chrono::seconds(60), "idle-gap rounds", [&] {
+    for (int round = 0; round < kRounds; ++round) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      pool.RunOnWorkers(4, [&](unsigned) { ++blocking_slots; });
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      std::promise<void> done;
+      pool.Submit(
+          4, [&](unsigned) { ++detached_slots; },
+          [&] {
+            ++completions;
+            done.set_value();
+          });
+      done.get_future().wait();
+    }
+  });
+  EXPECT_EQ(blocking_slots.load(), kRounds * 4);
+  EXPECT_EQ(detached_slots.load(), kRounds * 4);
+  EXPECT_EQ(completions.load(), kRounds);
 }
 
 TEST(ThreadPool, NestedParallelForCoversIndices) {

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "obs/trace.hpp"
 #include "serve/load_generator.hpp"
+#include "support/watchdog.hpp"
 
 namespace spnerf {
 namespace {
@@ -601,6 +602,62 @@ TEST_F(ServeTest, DeepExpiredBacklogDoesNotStallAdmission) {
   for (auto& f : dead) {
     EXPECT_EQ(f.get().status, RequestStatus::kExpired);
   }
+}
+
+TEST_F(ServeTest, ConcurrentSubmittersAllResolve) {
+  // Four threads admit into a live service whose queue is far smaller than
+  // their burst, so seating, eviction, rejection and the expiry sweep race
+  // each other and the dispatcher. Every future must still resolve, every
+  // request must be accounted for exactly once, and the service must come
+  // to rest. The watchdog turns a stranded request into a failure.
+  constexpr int kSubmitters = 4;
+  constexpr int kPerSubmitter = 12;
+  RenderServiceOptions opts = PausedOptions(/*capacity=*/3, /*max_batch=*/4);
+  opts.start_paused = false;
+  RenderService service(opts);
+  std::vector<std::vector<std::future<RenderResponse>>> futures(kSubmitters);
+  test::RunWithWatchdog(std::chrono::seconds(120), "concurrent admission",
+                        [&] {
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        for (int i = 0; i < kPerSubmitter; ++i) {
+          RenderRequest r =
+              SmallRequest(SceneId::kMic, (t * kPerSubmitter + i) % 8);
+          r.priority = static_cast<RequestPriority>(i % 3);
+          if (i % 4 == 3) r.deadline_ms = 1.0;  // some expire while queued
+          futures[static_cast<std::size_t>(t)].push_back(service.Submit(r));
+        }
+      });
+    }
+    for (std::thread& th : submitters) th.join();
+    for (auto& per_thread : futures) {
+      for (auto& f : per_thread) f.wait();
+    }
+    service.Drain();
+  });
+
+  u64 completed = 0, rejected = 0, expired = 0;
+  for (auto& per_thread : futures) {
+    for (auto& f : per_thread) {
+      switch (f.get().status) {
+        case RequestStatus::kCompleted: ++completed; break;
+        case RequestStatus::kRejected: ++rejected; break;
+        case RequestStatus::kExpired: ++expired; break;
+      }
+    }
+  }
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.submitted, static_cast<u64>(kSubmitters * kPerSubmitter));
+  EXPECT_EQ(stats.submitted, stats.completed + stats.rejected + stats.expired);
+  EXPECT_EQ(stats.completed, completed);
+  EXPECT_EQ(stats.rejected, rejected);
+  EXPECT_EQ(stats.expired, expired);
+  // The first request's cold pipeline build holds the only batch key in
+  // flight while 47 more arrive at 3 seats: shedding is certain.
+  EXPECT_GT(stats.rejected, 0u);
+  EXPECT_EQ(service.QueueDepth(), 0u);
+  EXPECT_EQ(service.InflightBatches(), 0u);
 }
 
 // ------------------------------------------------------------- stats ----
