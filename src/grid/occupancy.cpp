@@ -61,14 +61,4 @@ bool CoarseOccupancy::OccupiedAtWorld(Vec3f p) const {
   return coarse_.Test(CellOfWorld(p));
 }
 
-Aabb CoarseOccupancy::CellBounds(Vec3i cell) const {
-  const GridDims& cd = coarse_.Dims();
-  return {{static_cast<float>(cell.x) / static_cast<float>(cd.nx),
-           static_cast<float>(cell.y) / static_cast<float>(cd.ny),
-           static_cast<float>(cell.z) / static_cast<float>(cd.nz)},
-          {static_cast<float>(cell.x + 1) / static_cast<float>(cd.nx),
-           static_cast<float>(cell.y + 1) / static_cast<float>(cd.ny),
-           static_cast<float>(cell.z + 1) / static_cast<float>(cd.nz)}};
-}
-
 }  // namespace spnerf

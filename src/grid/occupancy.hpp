@@ -45,9 +45,6 @@ class CoarseOccupancy {
     return WorldCell(coarse_.Dims(), p);
   }
 
-  /// World-space bounds of a coarse cell.
-  [[nodiscard]] Aabb CellBounds(Vec3i cell) const;
-
  private:
   BitGrid coarse_;
   int factor_ = 1;

@@ -42,7 +42,6 @@ OccupancyOctree OccupancyOctree::Build(const CoarseOccupancy& coarse) {
   OccupancyOctree tree;
   tree.factor_ = coarse.Factor();
   tree.levels_ = ReduceToRoot(coarse.Bits());
-  tree.InitBoundaries();
   return tree;
 }
 
@@ -71,24 +70,7 @@ OccupancyOctree OccupancyOctree::FromLevels(std::vector<BitGrid> levels,
   OccupancyOctree tree;
   tree.factor_ = factor;
   tree.levels_ = std::move(levels);
-  tree.InitBoundaries();
   return tree;
-}
-
-void OccupancyOctree::InitBoundaries() {
-  const GridDims& d = levels_.back().Dims();
-  const auto fill = [](std::vector<float>& out, int n) {
-    out.resize(static_cast<std::size_t>(n) + 1);
-    for (int i = 0; i <= n; ++i) {
-      // EXACTLY the CoarseOccupancy::CellBounds expression, so a marcher
-      // reading the table sees bit-identical boundary planes.
-      out[static_cast<std::size_t>(i)] =
-          static_cast<float>(i) / static_cast<float>(n);
-    }
-  };
-  fill(bx_, d.nx);
-  fill(by_, d.ny);
-  fill(bz_, d.nz);
 }
 
 bool OccupancyOctree::FindEmptyNode(Vec3i c, OctreeRayCache& cache) const {

@@ -9,10 +9,11 @@
 //
 // The ray marcher uses it through a per-ray cache (OctreeRayCache): when a
 // sample lands in an empty leaf, one root-down descent finds the SHALLOWEST
-// empty ancestor and caches its leaf-cell range; every subsequent empty
-// sample inside that range is answered by six integer compares, with no
-// bitmap probe at all. Occupied leaves cost exactly one leaf-bit probe —
-// the same as a flat bitmap — so dense scenes pay no hierarchy tax.
+// empty ancestor and caches its leaf-cell range, and the march jumps the
+// samples up to the ray's exit from that node; a sample still inside the
+// range is answered by six integer compares, with no bitmap probe at all.
+// Occupied leaves cost exactly one leaf-bit probe — the same as a flat
+// bitmap — so dense scenes pay no hierarchy tax.
 #pragma once
 
 #include <vector>
@@ -85,19 +86,8 @@ class OccupancyOctree {
     return false;
   }
 
-  /// Precomputed leaf-cell boundary planes: BoundaryX()[i] is bitwise
-  /// identical to `float(i) / float(LeafDims().nx)` for i in [0, nx]
-  /// (likewise per axis), so the DDA marcher replaces the CellBounds
-  /// divisions with table loads without perturbing a single bit.
-  [[nodiscard]] const float* BoundaryX() const { return bx_.data(); }
-  [[nodiscard]] const float* BoundaryY() const { return by_.data(); }
-  [[nodiscard]] const float* BoundaryZ() const { return bz_.data(); }
-
  private:
-  void InitBoundaries();
-
   std::vector<BitGrid> levels_;  // root-first; back() is the leaf level
-  std::vector<float> bx_, by_, bz_;  // leaf boundary planes, size n+1
   int factor_ = 1;
 };
 

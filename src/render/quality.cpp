@@ -15,10 +15,10 @@ namespace {
 // sixteenth of the rays (~0.08). They only seed the governor's cost model;
 // observed wall times refine them per scene.
 constexpr std::array<RungSpec, kQualityRungCount> kRungs{{
-    /*kFull=*/{1.0f, 0.0f, 1, 0, 1.0},
-    /*kCoarse=*/{2.0f, 1e-2f, 1, 0, 0.55},
-    /*kHalf=*/{2.0f, 1e-2f, 2, 0, 0.2},
-    /*kPreview=*/{4.0f, 5e-2f, 4, 2, 0.08},
+    /*kFull=*/{1.0f, 0.0f, 1, 1.0},
+    /*kCoarse=*/{2.0f, 1e-2f, 1, 0.55},
+    /*kHalf=*/{2.0f, 1e-2f, 2, 0.2},
+    /*kPreview=*/{4.0f, 5e-2f, 4, 0.08},
 }};
 
 }  // namespace
@@ -45,7 +45,6 @@ RenderOptions ApplyRung(const RenderOptions& base, QualityRung rung) {
   opt.step_size = base.step_size * spec.step_scale;
   opt.termination_transmittance = std::max(
       base.termination_transmittance, spec.min_termination_transmittance);
-  opt.octree_level_cap = spec.octree_level_cap;
   return opt;
 }
 

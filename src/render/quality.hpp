@@ -4,11 +4,10 @@
 // differential suites remain the bit-identity oracle. Higher rungs trade
 // bounded PSNR for large latency wins: coarser march step and earlier ray
 // termination (rung 1), half-resolution render + deterministic bilinear
-// upsample to the requested size (rung 2), quarter-resolution preview with
-// an octree level cap on the empty-space-skipping march (rung 3). Every
-// rung is a pure function of the base options — no RNG, no wall clock — so
-// a given (request, rung) renders byte-identical pixels on any worker
-// count or SIMD path.
+// upsample to the requested size (rung 2), 4x step at quarter resolution
+// (rung 3). Every rung is a pure function of the base options — no RNG, no
+// wall clock — so a given (request, rung) renders byte-identical pixels on
+// any worker count or SIMD path.
 //
 // This header is deliberately light (enum + spec table + declarations), so
 // the serving stats layer can size per-rung counters without pulling the
@@ -26,7 +25,7 @@ enum class QualityRung : int {
   kFull = 0,     // the unmodified render — bit-identical to no ladder
   kCoarse = 1,   // 2x step, earlier termination
   kHalf = 2,     // rung-1 knobs at half resolution + upsample
-  kPreview = 3,  // 4x step at quarter resolution + octree level cap
+  kPreview = 3,  // 4x step at quarter resolution
 };
 
 inline constexpr std::size_t kQualityRungCount = 4;
@@ -46,8 +45,6 @@ struct RungSpec {
   float min_termination_transmittance = 0.0f;
   /// Render at (w/d, h/d) and bilinear-upsample back to (w, h).
   int resolution_divisor = 1;
-  /// RenderOptions::octree_level_cap for this rung (0 = leaf-level skip).
-  int octree_level_cap = 0;
   /// Static cost prior relative to rung 0.
   double cost_scale = 1.0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/aligned.hpp"
@@ -13,51 +14,22 @@
 
 namespace spnerf {
 
-namespace render_detail {
-
-float CellExitTDda(const Ray& ray, Vec3i cell, const GridDims& dims, float t) {
-  float exit_t = std::numeric_limits<float>::max();
-  for (int axis = 0; axis < 3; ++axis) {
-    const float d = ray.direction[axis];
-    if (std::fabs(d) < kDegenerateDirectionEpsilon) continue;
-    const int n = axis == 0 ? dims.nx : axis == 1 ? dims.ny : dims.nz;
-    const int c = axis == 0 ? cell.x : axis == 1 ? cell.y : cell.z;
-    // The exact CellBounds expressions for the one face ahead of the ray:
-    // identical operands, identical division, so the float is identical.
-    const float boundary = d > 0.f
-                               ? static_cast<float>(c + 1) / static_cast<float>(n)
-                               : static_cast<float>(c) / static_cast<float>(n);
-    const float tx = (boundary - ray.origin[axis]) / d;
-    if (tx > t && tx < exit_t) exit_t = tx;
-  }
-  if (exit_t == std::numeric_limits<float>::max()) {
-    return std::nextafter(t, std::numeric_limits<float>::infinity());
-  }
-  return exit_t;
-}
-
-}  // namespace render_detail
-
 namespace {
 
 /// Pre-resolved metric handles for the skip instrumentation (handle lookup
 /// takes the registry mutex; resolving once keeps the march wait-free).
-/// Octrees deeper than kMaxLevels fold into the last bucket — 12 levels
-/// already covers a 2048^3 coarse grid.
 struct SkipObsHandles {
-  static constexpr int kMaxLevels = 12;
-  std::array<obs::Counter*, kMaxLevels> level{};
+  std::array<obs::Counter*, render_detail::SkipTally::kMaxLevels> level{};
   obs::Counter* outside = nullptr;
-  obs::Histogram* cells_per_ray = nullptr;
+  obs::Histogram* samples_per_ray = nullptr;
 
   SkipObsHandles() {
     auto& reg = obs::MetricsRegistry::Global();
-    for (int l = 0; l < kMaxLevels; ++l) {
-      level[static_cast<std::size_t>(l)] =
-          &reg.GetCounter("render/skip-l" + std::to_string(l));
+    for (std::size_t l = 0; l < level.size(); ++l) {
+      level[l] = &reg.GetCounter("render/skip-l" + std::to_string(l));
     }
     outside = &reg.GetCounter("render/skip-outside");
-    cells_per_ray = &reg.GetHistogram("render/skipped-cells-per-ray");
+    samples_per_ray = &reg.GetHistogram("render/skipped-samples-per-ray");
   }
 };
 
@@ -66,131 +38,42 @@ SkipObsHandles& SkipObs() {
   return handles;
 }
 
-/// Local accumulator for the per-level skip counters; flushed to the
-/// registry once per tile.
-struct SkipShard {
-  std::array<u32, SkipObsHandles::kMaxLevels> level{};
-  u32 outside = 0;
-
-  void Flush() const {
-    SkipObsHandles& h = SkipObs();
-    for (std::size_t l = 0; l < level.size(); ++l) {
-      if (level[l] != 0) h.level[l]->Add(level[l]);
-    }
-    if (outside != 0) h.outside->Add(outside);
+/// Adds one tile's skip tally to the registry.
+void FlushSkipTally(const render_detail::SkipTally& tally) {
+  SkipObsHandles& h = SkipObs();
+  for (std::size_t l = 0; l < tally.level.size(); ++l) {
+    if (tally.level[l] != 0) h.level[l]->Add(tally.level[l]);
   }
-};
-
-/// CellExitTDda with the boundary divisions replaced by the octree's
-/// precomputed plane tables (table[i] is bitwise float(i)/float(n)): an
-/// empty iteration pays 3 divisions where an Aabb exit pays 9. Only the
-/// boundary operand's provenance changes, never its value.
-float CellExitTCached(const Ray& ray, Vec3i cell, const float* bx,
-                      const float* by, const float* bz, float t) {
-  float exit_t = std::numeric_limits<float>::max();
-  for (int axis = 0; axis < 3; ++axis) {
-    const float d = ray.direction[axis];
-    if (std::fabs(d) < render_detail::kDegenerateDirectionEpsilon) continue;
-    const float* table = axis == 0 ? bx : axis == 1 ? by : bz;
-    const int c = axis == 0 ? cell.x : axis == 1 ? cell.y : cell.z;
-    const float boundary = table[c + (d > 0.f ? 1 : 0)];
-    const float tx = (boundary - ray.origin[axis]) / d;
-    if (tx > t && tx < exit_t) exit_t = tx;
-  }
-  if (exit_t == std::numeric_limits<float>::max()) {
-    return std::nextafter(t, std::numeric_limits<float>::infinity());
-  }
-  return exit_t;
+  if (tally.outside != 0) h.outside->Add(tally.outside);
 }
 
-/// Empty-space skipping: moves `t` forward to the ray's next occupied
-/// sample position (returns true) or past `t_far` (returns false),
-/// counting skipped cells into `skips`. The leaf-level march replays the
-/// flat per-cell chain `t = max(exit_t + eps, t + step)` bit for bit; the
-/// octree only answers the occupancy question cheaper (a cached empty node
-/// covers whole regions with six integer compares, no bitmap probe).
-bool AdvanceToOccupied(const RenderOptions& opt, const Ray& ray, float t_far,
-                       float& t, u64& skips, OctreeRayCache& cache,
-                       SkipShard* shard) {
-  if (opt.octree_skip == nullptr) return t < t_far;
-  const OccupancyOctree& tree = *opt.octree_skip;
-  if (opt.octree_level_cap > 0) {
-    // Degraded-preview march (quality ladder): occupancy is answered `cap`
-    // levels above the leaves. The capped bit ORs every descendant leaf, so
-    // it is conservative — a region is only skipped when every leaf under
-    // it is empty — and the march crosses empty space in capped-level cells
-    // (2^cap wider per axis), so the skip loop runs far fewer iterations on
-    // sparse rays. Exit distances use the division DDA on the capped grid;
-    // this path trades the leaf chain's bit-identity for cost, so it never
-    // engages at rung 0 (octree_level_cap stays 0 there).
-    const int leaf_level = tree.Levels() - 1;
-    const int cap = std::min(opt.octree_level_cap, leaf_level);
-    const int level = leaf_level - cap;
-    const BitGrid& bits = tree.Level(level);
-    const GridDims& dims = bits.Dims();
-    while (t < t_far) {
-      const Vec3f p = ray.At(t);
-      const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f ||
-                            p.y > 1.f || p.z < 0.f || p.z > 1.f);
-      const Vec3i leaf = tree.LeafCellOfWorld(p);
-      const Vec3i cell{leaf.x >> cap, leaf.y >> cap, leaf.z >> cap};
-      if (inside && bits.Test(cell)) return true;
-      if (shard != nullptr) {
-        if (inside) {
-          ++shard->level[static_cast<std::size_t>(
-              std::min(level, SkipObsHandles::kMaxLevels - 1))];
-        } else {
-          ++shard->outside;
-        }
-      }
-      const float exit_t = render_detail::CellExitTDda(ray, cell, dims, t);
-      t = std::max(exit_t + render_detail::kSkipForwardEpsilon,
-                   t + opt.step_size);
-      ++skips;
-    }
-    return false;
+/// Distance along `ray` at which it leaves the box of the leaf-cell range
+/// [lo, hi) of `node`. Only an estimate, which AdvanceToOccupied checks, so
+/// axes the ray runs parallel to are left out.
+float NodeExitT(const Ray& ray, const OctreeRayCache& node,
+                const GridDims& dims) {
+  float exit_t = std::numeric_limits<float>::infinity();
+  for (int axis = 0; axis < 3; ++axis) {
+    const float d = ray.direction[axis];
+    if (d == 0.f) continue;
+    const int n = axis == 0 ? dims.nx : axis == 1 ? dims.ny : dims.nz;
+    const int face = d > 0.f ? node.hi[axis] : node.lo[axis];
+    const float boundary = static_cast<float>(face) / static_cast<float>(n);
+    exit_t = std::min(exit_t, (boundary - ray.origin[axis]) / d);
   }
-  const float* bx = tree.BoundaryX();
-  const float* by = tree.BoundaryY();
-  const float* bz = tree.BoundaryZ();
-  while (t < t_far) {
-    const Vec3f p = ray.At(t);
-    // OccupiedAtWorld's out-of-box rule, inlined: outside points are
-    // unoccupied but still march through their clamped boundary cell.
-    const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f || p.y > 1.f ||
-                          p.z < 0.f || p.z > 1.f);
-    const Vec3i cell = tree.LeafCellOfWorld(p);
-    if (inside && tree.OccupiedAt(cell, cache)) return true;
-    if (shard != nullptr) {
-      if (inside) {
-        ++shard->level[static_cast<std::size_t>(
-            std::min(cache.level, SkipObsHandles::kMaxLevels - 1))];
-      } else {
-        ++shard->outside;
-      }
-    }
-    const float exit_t = CellExitTCached(ray, cell, bx, by, bz, t);
-    t = std::max(exit_t + render_detail::kSkipForwardEpsilon,
-                 t + opt.step_size);
-    ++skips;
-  }
-  return false;
+  return exit_t;
 }
 
 /// Per-ray march state of the wavefront tile marcher. The sample/shade
 /// buffers of the front are SoA (see WavefrontScratch); this is the per-ray
 /// bookkeeping that survives between wavefront iterations.
 struct WavefrontRay {
-  Ray ray;
+  render_detail::RayMarch march;
   ViewEmbedding view{};
   Vec3f color{0.f, 0.f, 0.f};
   float transmittance = 1.0f;
-  float t = 0.0f;
-  float t_far = 0.0f;
   u64 steps = 0;
   u64 evals = 0;
-  u64 skips = 0;
-  OctreeRayCache dda;  // cached empty-node range of the octree march
   bool missed = false;
   bool terminated = false;
 };
@@ -220,6 +103,63 @@ constexpr std::size_t kShadeBatch = 256;
 
 }  // namespace
 
+namespace render_detail {
+
+bool AdvanceToOccupied(const OccupancyOctree* tree, float step,
+                       RayMarch& march, SkipTally* tally) {
+  for (;;) {
+    const float t = march.SampleT(march.k, step);
+    if (!(t < march.t_far)) return false;
+    if (tree == nullptr) return true;
+    const Vec3f p = march.ray.At(t);
+    // OccupiedAtWorld's out-of-box rule, inlined: outside points are
+    // unoccupied.
+    if (p.x < 0.f || p.x > 1.f || p.y < 0.f || p.y > 1.f || p.z < 0.f ||
+        p.z > 1.f) {
+      if (tally != nullptr) ++tally->outside;
+      ++march.k;
+      ++march.skips;
+      continue;
+    }
+    if (tree->OccupiedAt(tree->LeafCellOfWorld(p), march.node)) return true;
+    if (tally != nullptr) {
+      ++tally->level[static_cast<std::size_t>(
+          std::min(march.node.level, SkipTally::kMaxLevels - 1))];
+    }
+    // Jump the cached empty node: pass over every index up to `last`, the
+    // last one before the ray leaves the node (or the box), then test the
+    // next. Along each axis the leaf cell of sample j is monotone in j
+    // (every float step from j to the cell index rounds monotonically), so
+    // the samples in the node form one run of indices from k: when sample
+    // `last` is in the node, so is every sample before it, each one empty
+    // or outside the box, and none is one the per-sample test takes. The
+    // exit is a float estimate, so `last` is checked, and halved towards k
+    // until the check holds (float rounding at a face, grazing rays).
+    const auto in_node = [&](u32 j) {
+      const float tj = march.SampleT(j, step);
+      return tj < march.t_far &&
+             march.node.Covers(tree->LeafCellOfWorld(march.ray.At(tj)));
+    };
+    const float span =
+        (std::min(NodeExitT(march.ray, march.node, tree->LeafDims()),
+                  march.t_far) -
+         t) /
+        step;
+    u32 last = march.k;
+    if (span > 1.f) {
+      // The cap only keeps the cast defined for near-degenerate rays.
+      last += static_cast<u32>(std::ceil(std::min(span, 1e9f))) - 1;
+    }
+    while (last > march.k && !in_node(last)) {
+      last = march.k + (last - march.k) / 2;
+    }
+    march.skips += last + 1 - march.k;
+    march.k = last + 1;
+  }
+}
+
+}  // namespace render_detail
+
 void VolumeRenderer::RenderTile(const FieldSource& source, const Mlp& mlp,
                                 const Camera& camera, int x0, int y0, int x1,
                                 int y1, Image& out, RenderStats* stats,
@@ -228,9 +168,9 @@ void VolumeRenderer::RenderTile(const FieldSource& source, const Mlp& mlp,
   const Aabb scene_box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
   const int width = x1 - x0;
   const bool count_obs = obs::CountersEnabled();
-  SkipShard skip_shard;
-  SkipShard* skip_shard_ptr =
-      (count_obs && options_.octree_skip != nullptr) ? &skip_shard : nullptr;
+  render_detail::SkipTally tally;
+  render_detail::SkipTally* tally_ptr =
+      (count_obs && options_.octree_skip != nullptr) ? &tally : nullptr;
 
   // Ray setup, row-major over the tile (every per-ray quantity below
   // reduces in this order).
@@ -239,14 +179,12 @@ void VolumeRenderer::RenderTile(const FieldSource& source, const Mlp& mlp,
   for (int y = y0; y < y1; ++y) {
     for (int x = x0; x < x1; ++x) {
       WavefrontRay r;
-      r.ray = camera.PixelRay(x, y);
-      float t_near = 0.f, t_far = 0.f;
-      if (!IntersectAabb(r.ray, scene_box, t_near, t_far)) {
+      r.march.ray = camera.PixelRay(x, y);
+      if (!IntersectAabb(r.march.ray, scene_box, r.march.t_near,
+                         r.march.t_far)) {
         r.missed = true;
       } else {
-        r.view = EmbedViewDirection(r.ray.direction);
-        r.t = t_near;
-        r.t_far = t_far;
+        r.view = EmbedViewDirection(r.march.ray.direction);
         s.active.push_back(static_cast<u32>(s.rays.size()));
       }
       s.rays.push_back(r);
@@ -294,14 +232,16 @@ void VolumeRenderer::RenderTile(const FieldSource& source, const Mlp& mlp,
     for (const u32 idx : s.active) {
       WavefrontRay& r = s.rays[idx];
       // Advance to the next sample position.
-      if (!AdvanceToOccupied(options_, r.ray, r.t_far, r.t, r.skips, r.dda,
-                             skip_shard_ptr)) {
+      if (!render_detail::AdvanceToOccupied(options_.octree_skip,
+                                            options_.step_size, r.march,
+                                            tally_ptr)) {
         continue;  // marched out of the box: ray retires
       }
       ++r.steps;
-      s.positions.push_back(r.ray.At(r.t));
+      s.positions.push_back(
+          r.march.ray.At(r.march.SampleT(r.march.k, options_.step_size)));
       s.front_ray.push_back(idx);
-      r.t += options_.step_size;
+      ++r.march.k;
     }
 
     // Decode + interpolate the whole front in one call.
@@ -365,19 +305,19 @@ void VolumeRenderer::RenderTile(const FieldSource& source, const Mlp& mlp,
         continue;
       }
       out.At(x, y) = r.color + options_.background * r.transmittance;
-      if (count_obs) SkipObs().cells_per_ray->Record(r.skips);
+      if (count_obs) SkipObs().samples_per_ray->Record(r.march.skips);
       if (stats) {
         ++stats->rays;
         stats->steps += r.steps;
         stats->mlp_evals += r.evals;
-        stats->coarse_skips += r.skips;
+        stats->coarse_skips += r.march.skips;
         if (r.terminated) ++stats->terminated_rays;
         stats->steps_per_ray.Add(static_cast<double>(r.steps));
         stats->evals_per_ray.Add(static_cast<double>(r.evals));
       }
     }
   }
-  if (skip_shard_ptr != nullptr) skip_shard_ptr->Flush();
+  if (tally_ptr != nullptr) FlushSkipTally(tally);
 }
 
 Image VolumeRenderer::Render(const FieldSource& source, const Mlp& mlp,

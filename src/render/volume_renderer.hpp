@@ -4,6 +4,8 @@
 // compositing). Rendering statistics feed the hardware workload model.
 #pragma once
 
+#include <array>
+
 #include "common/image.hpp"
 #include "common/stats.hpp"
 #include "grid/occupancy_octree.hpp"
@@ -28,18 +30,10 @@ struct RenderOptions {
   bool fp16_mlp = false;
   /// Optional occupancy octree for empty-space skipping (non-owning). All
   /// compared pipelines use the same skip structure, as DVGO/VQRF do. The
-  /// march crosses empty leaf cells through the octree's cached-node DDA
-  /// path; null marches every sample.
+  /// march jumps whole cached empty octree nodes; null tests every sample.
+  /// Either way sample k of a ray sits at `t_near + k * step_size`, so the
+  /// skip structure decides which samples are taken, never where they are.
   const OccupancyOctree* octree_skip = nullptr;
-  /// Degraded-preview skip granularity (quality ladder, render/quality.hpp):
-  /// when > 0, the empty-space march answers occupancy this many octree
-  /// levels ABOVE the leaves — the capped level's OR-reduced bit is
-  /// conservative (true whenever any descendant leaf is occupied), so no
-  /// occupied sample is ever skipped; empty space is crossed in
-  /// capped-level cells, which are 2^cap wider per axis, so a sparse ray
-  /// pays far fewer skip iterations. 0 (the default, and rung 0) is the
-  /// exact leaf-level chain.
-  int octree_level_cap = 0;
 };
 
 /// Per-frame statistics. `mlp_evals` and the per-ray distributions drive the
@@ -47,7 +41,7 @@ struct RenderOptions {
 struct RenderStats {
   u64 rays = 0;
   u64 steps = 0;           // field samples taken
-  u64 coarse_skips = 0;    // supervoxels jumped over without sampling
+  u64 coarse_skips = 0;    // sample indices in [t_near, t_far) not sampled
   u64 mlp_evals = 0;       // samples that passed the alpha threshold
   u64 terminated_rays = 0; // rays stopped by early termination
   u64 missed_rays = 0;     // rays that never hit the scene box
@@ -112,27 +106,40 @@ class VolumeRenderer {
 
 namespace render_detail {
 
-/// Forward-progress bump added past every empty-cell exit distance before
-/// resuming the march: `t = max(exit_t + kSkipForwardEpsilon, t + step)`.
-/// For grazing rays travelling along a cell face — where the exit boundary
-/// is the very plane the ray rides on — the bump alone guarantees strictly
-/// monotone progress. Shared by the octree march and the flat reference
-/// chain; it is part of the bit-exactness contract, not a tunable.
-inline constexpr float kSkipForwardEpsilon = 1e-5f;
+/// One ray's march over its sample grid: sample k sits at
+/// `t_near + float(k) * step` for every k with that t below `t_far`.
+struct RayMarch {
+  Ray ray;
+  float t_near = 0.f;
+  float t_far = 0.f;
+  u32 k = 0;            // next sample index to test
+  u64 skips = 0;        // indices passed over unsampled
+  OctreeRayCache node;  // the cached empty octree node the ray is crossing
 
-/// Direction components with |d| below this are treated as parallel to the
-/// axis: their boundary planes can never be crossed and would divide by
-/// ~zero. Shared by every exit-distance computation.
-inline constexpr float kDegenerateDirectionEpsilon = 1e-12f;
+  [[nodiscard]] float SampleT(u32 j, float step) const {
+    return t_near + static_cast<float>(j) * step;
+  }
+};
 
-/// Distance along `ray` at which it exits coarse cell `cell` of a
-/// `dims`-sized grid spanning [0,1]^3, entered at parameter `t`. Only the
-/// (at most 3) boundary planes the ray can exit through are computed, with
-/// the exact CoarseOccupancy::CellBounds expressions, so it is
-/// bit-identical to the exit of that cell's Aabb. Always strictly greater
-/// than `t`: a ray grazing a face, or with no boundary ahead, would
-/// otherwise return `t` unchanged and stall the empty-space march.
-float CellExitTDda(const Ray& ray, Vec3i cell, const GridDims& dims, float t);
+/// Empty-space iterations of the octree march, by the level of the empty
+/// node crossed and outside the box; tallied per tile for the obs
+/// registry. Deeper levels fold into the last bucket — 12 levels already
+/// cover a 2048^3 coarse grid.
+struct SkipTally {
+  static constexpr int kMaxLevels = 12;
+  std::array<u32, kMaxLevels> level{};
+  u32 outside = 0;
+};
+
+/// Empty-space skipping: moves `march.k` to the first index at or after
+/// it whose sample the per-sample occupancy test takes (the point is in
+/// the box and its leaf cell is occupied) and returns true, or moves it
+/// past `t_far` and returns false. Every index passed over counts into
+/// `march.skips`. An empty sample jumps the whole cached empty node, and
+/// each jump is checked, so it never passes over a sample the per-sample
+/// test would take. `tree` null takes every index; `tally` may be null.
+bool AdvanceToOccupied(const OccupancyOctree* tree, float step,
+                       RayMarch& march, SkipTally* tally);
 
 }  // namespace render_detail
 

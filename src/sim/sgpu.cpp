@@ -29,7 +29,7 @@ double SgpuModel::LogicEnergyJ(const SgpuActivity& activity,
   // Density interpolation runs for every sample (alpha is needed before the
   // feature path is gated): 8 FP16 FMAs per sample.
   pj += static_cast<double>(activity.samples) * 8.0 * tech.fp16_mac_pj;
-  // BLU probes: every vertex lookup and every coarse skip touches one bit.
+  // BLU probes: every vertex lookup and every skipped sample touches one bit.
   pj += static_cast<double>(activity.vertex_lookups +
                             activity.coarse_skip_probes) *
         tech.bit_probe_pj;

@@ -1,18 +1,17 @@
 // Bit-exactness oracle for the production renderer, kept in test support
-// because nothing ships it. It marches one ray at a time with the flat
-// empty-space chain: probe the CoarseOccupancy bit at the sample point, and
-// on an empty cell jump to `max(exit_t + kSkipForwardEpsilon, t + step)`
-// with the exit taken from the cell's Aabb. It samples through the scalar
-// FieldSource::Sample and shades through the scalar Mlp::Forward /
-// ForwardFp16, so it shares none of the wavefront marcher's batching, SIMD
-// kernels or octree cache. VolumeRenderer::RenderTile must match it bit for
-// bit: pixels, RenderStats (including the Welford moments) and
-// DecodeCounters. Written only against public APIs.
+// because nothing ships it. It marches one ray at a time over the uniform
+// sample grid `t_near + float(k) * step` and tests CoarseOccupancy at every
+// sample: an unoccupied sample is counted as skipped and never sampled. It
+// samples through the scalar FieldSource::Sample and shades through the
+// scalar Mlp::Forward / ForwardFp16, so it shares none of the wavefront
+// marcher's batching, SIMD kernels or octree node jumps.
+// VolumeRenderer::RenderTile must match it bit for bit: pixels, RenderStats
+// (including the Welford moments) and DecodeCounters. Written only against
+// public APIs.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "grid/occupancy.hpp"
 #include "render/embedding.hpp"
@@ -20,38 +19,7 @@
 
 namespace spnerf::test {
 
-/// Distance along `ray` at which it exits `cell` (entered at parameter `t`).
-/// Always strictly greater than `t`: a degenerate (zero-area) cell, or a ray
-/// grazing a face, would otherwise return `t` unchanged and stall the march.
-inline float CellExitT(const Ray& ray, const Aabb& cell, float t) {
-  float exit_t = std::numeric_limits<float>::max();
-  for (int axis = 0; axis < 3; ++axis) {
-    const float d = ray.direction[axis];
-    if (std::fabs(d) < render_detail::kDegenerateDirectionEpsilon) continue;
-    const float boundary = d > 0.f ? cell.hi[axis] : cell.lo[axis];
-    const float tx = (boundary - ray.origin[axis]) / d;
-    if (tx > t && tx < exit_t) exit_t = tx;
-  }
-  if (exit_t == std::numeric_limits<float>::max()) {
-    return std::nextafter(t, std::numeric_limits<float>::infinity());
-  }
-  return exit_t;
-}
-
-/// One step of the flat skip chain at parameter `t`. Sets `occupied` and
-/// returns `t` unchanged when the coarse cell there is occupied; otherwise
-/// returns the parameter just past the cell.
-inline float FlatStep(const CoarseOccupancy& coarse, const Ray& ray, float t,
-                      float step, bool& occupied) {
-  const Vec3f p = ray.At(t);
-  occupied = coarse.OccupiedAtWorld(p);
-  if (occupied) return t;
-  const Aabb cell = coarse.CellBounds(coarse.CellOfWorld(p));
-  return std::max(CellExitT(ray, cell, t) + render_detail::kSkipForwardEpsilon,
-                  t + step);
-}
-
-/// Renders one ray; `coarse` null marches every sample. Stats and counters
+/// Renders one ray; `coarse` null samples every index. Stats and counters
 /// accumulate into the given shards (may be null).
 inline Vec3f ReferenceRay(const RenderOptions& opt,
                           const CoarseOccupancy* coarse,
@@ -75,20 +43,16 @@ inline Vec3f ReferenceRay(const RenderOptions& opt,
   float transmittance = 1.0f;
   u64 steps = 0, evals = 0, skips = 0;
   bool terminated = false;
-  float t = t_near;
-  while (t < t_far) {
-    if (coarse != nullptr) {
-      bool occupied = false;
-      const float next = FlatStep(*coarse, ray, t, opt.step_size, occupied);
-      if (!occupied) {
-        t = next;
-        ++skips;
-        continue;
-      }
+  for (u32 k = 0;; ++k) {
+    const float t = t_near + static_cast<float>(k) * opt.step_size;
+    if (!(t < t_far)) break;
+    const Vec3f p = ray.At(t);
+    if (coarse != nullptr && !coarse->OccupiedAtWorld(p)) {
+      ++skips;
+      continue;
     }
     ++steps;
-    const FieldSample s = source.Sample(ray.At(t), counters);
-    t += opt.step_size;
+    const FieldSample s = source.Sample(p, counters);
     const float sigma = s.density > 0.0f ? s.density : 0.0f;
     const float alpha = 1.0f - std::exp(-sigma * opt.step_size);
     if (alpha <= opt.alpha_threshold) continue;
@@ -115,7 +79,7 @@ inline Vec3f ReferenceRay(const RenderOptions& opt,
   return color;
 }
 
-/// Renders `job` one ray at a time with the flat chain over `coarse`
+/// Renders `job` one ray at a time, testing `coarse` at every sample
 /// (job.options.octree_skip is ignored). Pixels walk row-major tiles of
 /// `tile_size`, row-major inside each tile, and the per-tile stat shards
 /// merge in tile order — the engine's decomposition — so the Welford

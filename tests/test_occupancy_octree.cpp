@@ -1,9 +1,9 @@
 // Occupancy-octree tests: build/reduction invariants (parent bit == OR of
 // children at every level, leaf level bit-identical to CoarseOccupancy,
 // dilation preserved through the pyramid), the shallowest-empty-ancestor
-// query, and the DDA skip chain's bit-exactness against a brute-force
-// replay of the flat reference chain on random, axis-aligned, diagonal and
-// boundary-origin rays.
+// query, and the octree march, which must take exactly the sample indices
+// a per-sample CoarseOccupancy test takes on random, axis-aligned,
+// diagonal, boundary-origin, grazing and degenerate-direction rays.
 #include "grid/occupancy_octree.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "render/camera.hpp"
 #include "render/volume_renderer.hpp"
-#include "support/reference_render.hpp"
 
 namespace spnerf {
 namespace {
@@ -42,26 +41,6 @@ TEST(OccupancyOctree, LeafLevelIsBitIdenticalToCoarse) {
   EXPECT_EQ(tree.Factor(), coarse.Factor());
   EXPECT_EQ(tree.LeafDims(), coarse.CoarseDims());
   EXPECT_EQ(tree.LeafBits().Words(), coarse.Bits().Words());
-}
-
-TEST(OccupancyOctree, BoundaryTablesMatchCellBoundsBitwise) {
-  // The marcher replaces the CellBounds divisions with these table loads;
-  // bit-exactness of the whole render hinges on every entry being the
-  // exact division result.
-  const OccupancyOctree tree = OccupancyOctree::Build(RandomCoarse());
-  const GridDims& d = tree.LeafDims();
-  for (int i = 0; i <= d.nx; ++i) {
-    ASSERT_EQ(tree.BoundaryX()[i],
-              static_cast<float>(i) / static_cast<float>(d.nx));
-  }
-  for (int i = 0; i <= d.ny; ++i) {
-    ASSERT_EQ(tree.BoundaryY()[i],
-              static_cast<float>(i) / static_cast<float>(d.ny));
-  }
-  for (int i = 0; i <= d.nz; ++i) {
-    ASSERT_EQ(tree.BoundaryZ()[i],
-              static_cast<float>(i) / static_cast<float>(d.nz));
-  }
 }
 
 TEST(OccupancyOctree, ParentBitIsOrOfChildrenAtEveryLevel) {
@@ -203,94 +182,87 @@ TEST(OccupancyOctree, OccupiedAtAgreesWithLeafBitsEverywhere) {
   }
 }
 
-// ------------------------------------------------- DDA chain bit-exactness --
+// ------------------------------------------------ octree march exactness --
 
-/// One step of the octree DDA chain (cache + CellExitTDda).
-float OctreeStep(const OccupancyOctree& tree, const Ray& ray, float t,
-                 float step, OctreeRayCache& cache, bool& occupied) {
-  const Vec3f p = ray.At(t);
-  const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f || p.y > 1.f ||
-                        p.z < 0.f || p.z > 1.f);
-  const Vec3i cell = tree.LeafCellOfWorld(p);
-  if (inside && tree.OccupiedAt(cell, cache)) {
-    occupied = true;
-    return t;
+/// Sample indices of `ray` in [t_near, t_far) on the grid
+/// `t_near + float(k) * step`, split into the ones a march takes and the
+/// count it passes over.
+struct MarchIndices {
+  std::vector<u32> taken;
+  u64 skipped = 0;
+};
+
+/// The oracle: tests CoarseOccupancy at every sample index.
+MarchIndices OracleIndices(const CoarseOccupancy& coarse, const Ray& ray,
+                           float t_near, float t_far, float step) {
+  MarchIndices out;
+  for (u32 k = 0;; ++k) {
+    const float t = t_near + static_cast<float>(k) * step;
+    if (!(t < t_far)) break;
+    if (coarse.OccupiedAtWorld(ray.At(t))) {
+      out.taken.push_back(k);
+    } else {
+      ++out.skipped;
+    }
   }
-  occupied = false;
-  const float exit_t =
-      render_detail::CellExitTDda(ray, cell, tree.LeafDims(), t);
-  return std::max(exit_t + render_detail::kSkipForwardEpsilon, t + step);
+  return out;
 }
 
-/// Marches `ray` through both chains in lockstep across the whole box and
-/// demands bitwise-equal t values, identical cell walks and identical
-/// occupancy verdicts at every step.
-void ExpectChainsIdentical(const CoarseOccupancy& coarse,
-                           const OccupancyOctree& tree, const Ray& ray,
-                           float step = 0.003f) {
+/// Production: render_detail::AdvanceToOccupied over the octree.
+MarchIndices OctreeIndices(const OccupancyOctree& tree, const Ray& ray,
+                           float t_near, float t_far, float step) {
+  render_detail::RayMarch march;
+  march.ray = ray;
+  march.t_near = t_near;
+  march.t_far = t_far;
+  MarchIndices out;
+  while (render_detail::AdvanceToOccupied(&tree, step, march, nullptr)) {
+    out.taken.push_back(march.k);
+    ++march.k;
+  }
+  out.skipped = march.skips;
+  return out;
+}
+
+/// Marches `ray` both ways across the whole box and demands the identical
+/// taken indices and skip count. Returns the oracle's indices.
+MarchIndices ExpectSameIndices(const CoarseOccupancy& coarse,
+                               const OccupancyOctree& tree, const Ray& ray,
+                               float step = 0.003f) {
   const Aabb box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
   float t_near = 0.f, t_far = 0.f;
-  if (!IntersectAabb(ray, box, t_near, t_far)) return;
-  float t_flat = t_near;
-  float t_tree = t_near;
-  OctreeRayCache cache;
-  int steps = 0;
-  while (t_flat < t_far) {
-    ASSERT_EQ(t_flat, t_tree) << "chains diverged after " << steps << " steps";
-    ASSERT_EQ(coarse.CellOfWorld(ray.At(t_flat)),
-              coarse.CellOfWorld(ray.At(t_tree)));
-    bool occ_flat = false, occ_tree = false;
-    t_flat = test::FlatStep(coarse, ray, t_flat, step, occ_flat);
-    t_tree = OctreeStep(tree, ray, t_tree, step, cache, occ_tree);
-    ASSERT_EQ(occ_flat, occ_tree) << "occupancy verdicts diverged at t=" << t_flat;
-    if (occ_flat) {
-      // Both chains sample here; advance past it the way the marcher does.
-      t_flat += step;
-      t_tree += step;
+  if (!IntersectAabb(ray, box, t_near, t_far)) return {};
+  const MarchIndices want = OracleIndices(coarse, ray, t_near, t_far, step);
+  const MarchIndices got = OctreeIndices(tree, ray, t_near, t_far, step);
+  EXPECT_EQ(want.taken, got.taken);
+  EXPECT_EQ(want.skipped, got.skipped);
+  return want;
+}
+
+TEST(OctreeMarch, RandomRaysTakeTheOracleIndices) {
+  // A dense and a sparse occupancy: the sparse one has large empty nodes,
+  // so most skipped indices are passed over by node jumps.
+  for (const int set_bits : {30, 6}) {
+    const CoarseOccupancy coarse = RandomCoarse(set_bits, 91);
+    const OccupancyOctree tree = OccupancyOctree::Build(coarse);
+    Rng rng(5);
+    u64 taken = 0, skipped = 0;
+    for (int i = 0; i < 200; ++i) {
+      Ray ray;
+      ray.origin = Vec3f{rng.Uniform(-0.5f, 1.5f), rng.Uniform(-0.5f, 1.5f),
+                         rng.Uniform(-0.5f, 1.5f)};
+      ray.direction = Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
+                            rng.Uniform(-1.f, 1.f)};
+      const MarchIndices m = ExpectSameIndices(coarse, tree, ray);
+      taken += m.taken.size();
+      skipped += m.skipped;
     }
-    ASSERT_LT(++steps, 100000) << "skip chain failed to progress";
-  }
-  EXPECT_GE(t_tree, t_far);
-}
-
-TEST(OctreeDda, CellExitTDdaMatchesCellExitTBitwise) {
-  const CoarseOccupancy coarse = RandomCoarse();
-  const GridDims& ld = coarse.CoarseDims();
-  Rng rng(33);
-  for (int i = 0; i < 2000; ++i) {
-    Ray ray;
-    ray.origin = Vec3f{rng.Uniform(-0.3f, 1.3f), rng.Uniform(-0.3f, 1.3f),
-                       rng.Uniform(-0.3f, 1.3f)};
-    ray.direction = Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
-                          rng.Uniform(-1.f, 1.f)};
-    if (i % 5 == 0) ray.direction.x = 0.f;   // axis-degenerate components
-    if (i % 7 == 0) ray.direction.y = 0.f;
-    const Vec3i cell{rng.UniformInt(0, ld.nx - 1), rng.UniformInt(0, ld.ny - 1),
-                     rng.UniformInt(0, ld.nz - 1)};
-    const float t = rng.Uniform(0.f, 2.f);
-    const float expect =
-        test::CellExitT(ray, coarse.CellBounds(cell), t);
-    const float got = render_detail::CellExitTDda(ray, cell, ld, t);
-    ASSERT_EQ(expect, got) << "ray " << i;
+    EXPECT_GT(taken, 0u) << set_bits;
+    EXPECT_GT(skipped, 0u) << set_bits;
   }
 }
 
-TEST(OctreeDda, RandomRaysWalkIdenticallyToFlat) {
-  const CoarseOccupancy coarse = RandomCoarse(30, 91);
-  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    Ray ray;
-    ray.origin = Vec3f{rng.Uniform(-0.5f, 1.5f), rng.Uniform(-0.5f, 1.5f),
-                       rng.Uniform(-0.5f, 1.5f)};
-    ray.direction =
-        (Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
-                        rng.Uniform(-1.f, 1.f)});
-    ExpectChainsIdentical(coarse, tree, ray);
-  }
-}
-
-TEST(OctreeDda, AxisAlignedRaysWalkIdenticallyToFlat) {
+TEST(OctreeMarch, AxisAlignedRaysTakeTheOracleIndices) {
   const CoarseOccupancy coarse = RandomCoarse(50, 13);
   const OccupancyOctree tree = OccupancyOctree::Build(coarse);
   for (int axis = 0; axis < 3; ++axis) {
@@ -304,13 +276,13 @@ TEST(OctreeDda, AxisAlignedRaysWalkIdenticallyToFlat) {
                            rng.Uniform(0.f, 1.f)};
         ray.origin[axis] = sign > 0 ? -0.2f : 1.2f;
         ray.direction = dir;
-        ExpectChainsIdentical(coarse, tree, ray);
+        ExpectSameIndices(coarse, tree, ray);
       }
     }
   }
 }
 
-TEST(OctreeDda, DiagonalAndBoundaryOriginRaysWalkIdenticallyToFlat) {
+TEST(OctreeMarch, DiagonalAndBoundaryOriginRaysTakeTheOracleIndices) {
   const CoarseOccupancy coarse = RandomCoarse(45, 77);
   const OccupancyOctree tree = OccupancyOctree::Build(coarse);
   // Exact corner-to-corner diagonals.
@@ -320,7 +292,7 @@ TEST(OctreeDda, DiagonalAndBoundaryOriginRaysWalkIdenticallyToFlat) {
     ray.origin = Vec3f{d.x > 0 ? -0.1f : 1.1f, d.y > 0 ? -0.1f : 1.1f,
                        d.z > 0 ? -0.1f : 1.1f};
     ray.direction = d.Normalized();
-    ExpectChainsIdentical(coarse, tree, ray);
+    ExpectSameIndices(coarse, tree, ray);
   }
   // Origins exactly on cell boundaries (t_near = 0 lands on a face).
   Rng rng(3);
@@ -334,7 +306,89 @@ TEST(OctreeDda, DiagonalAndBoundaryOriginRaysWalkIdenticallyToFlat) {
     ray.direction =
         (Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
                         rng.Uniform(-1.f, 1.f)});
-    ExpectChainsIdentical(coarse, tree, ray);
+    ExpectSameIndices(coarse, tree, ray);
+  }
+}
+
+TEST(OctreeMarch, GrazingRaysOnCellFacesTakeTheOracleIndices) {
+  // Rays riding exactly in a leaf-cell face plane, with the component
+  // across the plane zero, below the old 1e-12 degenerate-direction
+  // threshold, or small enough that the ray drifts across the face within
+  // a few cells. Which side of the face a sample lands on is then decided
+  // by float rounding, and a node jump must never outrun it.
+  const CoarseOccupancy coarse = RandomCoarse(8, 77);
+  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
+  const GridDims& ld = coarse.CoarseDims();
+  u64 taken = 0, skipped = 0;
+  for (int across = 0; across < 3; ++across) {
+    const int along = (across + 1) % 3;
+    const int third = (across + 2) % 3;
+    const int n = across == 0 ? ld.nx : across == 1 ? ld.ny : ld.nz;
+    for (int face = 0; face <= n; ++face) {
+      for (const float drift : {0.f, 1e-13f, -1e-13f, 1e-5f, -1e-5f}) {
+        Ray ray;
+        ray.origin[across] = static_cast<float>(face) / static_cast<float>(n);
+        ray.origin[along] = -0.1f;
+        ray.origin[third] = 0.37f;
+        ray.direction[across] = drift;
+        ray.direction[along] = 1.f;
+        ray.direction[third] = 0.125f;
+        const MarchIndices m = ExpectSameIndices(coarse, tree, ray);
+        taken += m.taken.size();
+        skipped += m.skipped;
+      }
+    }
+  }
+  EXPECT_GT(taken, 0u);
+  EXPECT_GT(skipped, 0u);
+}
+
+TEST(OctreeMarch, JumpNeverPassesTFar) {
+  // Rays through an empty box whose node-exit estimate puts the jump's
+  // landing sample at or past t_far by float rounding; found by search
+  // over random rays and steps. The landing must be checked against t_far
+  // or the march counts one skipped index too many.
+  const CoarseOccupancy coarse = RandomCoarse(0);
+  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
+  const struct {
+    Vec3f origin, direction;
+    float step;
+  } cases[] = {
+      {{-0x1.7f7878p-3f, 0x1.5e2898p+0f, -0x1p-1f},
+       {0x1.1729f4p-1f, -0x1.580d64p-1f, 0x1.00979ap-1f},
+       0x1.623cb2p-5f},
+      {{0x1.ed4a7p-1f, -0x1.0e1528p-4f, -0x1p-1f},
+       {-0x1.29ab08p-1f, 0x1.e653e4p-3f, 0x1.8e70fep-1f},
+       0x1.4c7d8ep-5f},
+  };
+  for (const auto& c : cases) {
+    const MarchIndices m =
+        ExpectSameIndices(coarse, tree, Ray{c.origin, c.direction}, c.step);
+    EXPECT_GT(m.skipped, 0u);
+  }
+}
+
+TEST(OctreeMarch, EmptyNodesAreJumpedNotWalked) {
+  // An empty scene is one empty root node: a ray across the box passes
+  // over hundreds of sample indices in a handful of march iterations.
+  const OccupancyOctree tree = OccupancyOctree::Build(
+      CoarseOccupancy::Build(BitGrid(GridDims{40, 40, 40}), 4));
+  const Aabb box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
+  Rng rng(9);
+  for (int i = 0; i < 100; ++i) {
+    render_detail::RayMarch march;
+    march.ray.origin = Vec3f{rng.Uniform(-0.5f, 1.5f),
+                             rng.Uniform(-0.5f, 1.5f), -0.5f};
+    march.ray.direction =
+        (Vec3f{0.5f, 0.5f, 0.5f} - march.ray.origin).Normalized();
+    ASSERT_TRUE(IntersectAabb(march.ray, box, march.t_near, march.t_far));
+    render_detail::SkipTally tally;
+    EXPECT_FALSE(
+        render_detail::AdvanceToOccupied(&tree, 0.003f, march, &tally));
+    u32 iterations = tally.outside;
+    for (const u32 n : tally.level) iterations += n;
+    EXPECT_GT(march.skips, 300u) << "ray " << i;
+    EXPECT_LE(iterations, 2u) << "ray " << i;
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include "render/embedding.hpp"
 #include "scene/dataset.hpp"
-#include "support/reference_render.hpp"
 
 namespace spnerf {
 namespace {
@@ -148,8 +147,10 @@ TEST(VolumeRenderer, EarlyTerminationReducesSteps) {
 }
 
 TEST(VolumeRenderer, CoarseSkipPreservesImage) {
-  // Render a real scene with and without empty-space skipping; images must
-  // match (the skip is conservative) while steps drop substantially.
+  // Render a real scene with and without empty-space skipping. Samples sit
+  // on the same per-ray grid either way and every skipped one reads
+  // density 0 from the grid, so images and MLP evals are exactly equal
+  // while steps drop substantially.
   DatasetParams dp;
   dp.resolution_override = 48;
   dp.vqrf.codebook_size = 64;
@@ -169,14 +170,10 @@ TEST(VolumeRenderer, CoarseSkipPreservesImage) {
   const Image img_a = VolumeRenderer(no_skip).Render(src, mlp, cam, &a);
   const Image img_b = VolumeRenderer(with_skip).Render(src, mlp, cam, &b);
   EXPECT_LT(b.steps, a.steps / 2);
-  EXPECT_GT(b.coarse_skips, 0u);
-  // The skipped render must be visually identical (PSNR very high).
-  EXPECT_GT(Psnr(img_a, img_b), 45.0);
-  // MLP evals nearly identical: skipping only removes zero-density samples,
-  // though the jump re-phases sample positions slightly.
-  EXPECT_NEAR(static_cast<double>(a.mlp_evals),
-              static_cast<double>(b.mlp_evals),
-              0.02 * static_cast<double>(a.mlp_evals));
+  EXPECT_EQ(b.steps + b.coarse_skips, a.steps);
+  EXPECT_GT(a.mlp_evals, 0u);
+  EXPECT_EQ(b.mlp_evals, a.mlp_evals);
+  EXPECT_EQ(img_b.Pixels(), img_a.Pixels());
 }
 
 TEST(VolumeRenderer, StatsPerRayDistributions) {
@@ -201,75 +198,6 @@ TEST(VolumeRenderer, ParallelStatlessMatchesSequential) {
   for (std::size_t i = 0; i < seq.Pixels().size(); ++i) {
     EXPECT_EQ(seq.Pixels()[i], par.Pixels()[i]);
   }
-}
-
-TEST(CellExitT, DegenerateCellStillAdvances) {
-  // A zero-area skip cell used to return `t` unchanged, which could stall
-  // the empty-space-skipping march. The guard forces strict progress.
-  const Ray ray{{0.25f, 0.5f, 0.5f}, {1.f, 0.f, 0.f}};
-  const Aabb degenerate{{0.25f, 0.5f, 0.5f}, {0.25f, 0.5f, 0.5f}};
-  const float t = 0.0f;
-  const float exit_t = test::CellExitT(ray, degenerate, t);
-  EXPECT_GT(exit_t, t);
-}
-
-TEST(CellExitT, RayOnFaceOfFlatCellAdvances) {
-  // Flat (zero-thickness) cell, ray travelling inside its plane: no axis
-  // yields a boundary strictly ahead, so only the guard makes progress.
-  const Ray ray{{0.5f, 0.25f, 0.5f}, {0.f, 1.f, 0.f}};
-  const Aabb flat{{0.4f, 0.25f, 0.4f}, {0.6f, 0.25f, 0.6f}};
-  const float t = 0.125f;
-  const float exit_t = test::CellExitT(ray, flat, t);
-  EXPECT_GT(exit_t, t);
-  // Large t: the nextafter step must still strictly advance.
-  const float t_big = 1024.0f;
-  EXPECT_GT(test::CellExitT(ray, flat, t_big), t_big);
-}
-
-TEST(CellExitT, NormalCellReturnsExitBoundary)
-{
-  const Ray ray{{-1.0f, 0.5f, 0.5f}, {1.f, 0.f, 0.f}};
-  const Aabb cell{{0.0f, 0.0f, 0.0f}, {0.25f, 1.f, 1.f}};
-  const float exit_t = test::CellExitT(ray, cell, 1.0f);
-  EXPECT_NEAR(exit_t, 1.25f, 1e-5f);
-}
-
-TEST(CellExitT, GrazingRayAlongCellFaceAdvances) {
-  // Regression for the documented skip epsilons: a ray travelling exactly
-  // in the plane of a cell face has a direction component at or below
-  // kDegenerateDirectionEpsilon on that axis with the origin exactly on
-  // the boundary. The degenerate axis must be ignored (no 0/0 or huge
-  // negative boundary t), the remaining axes must still yield the exit,
-  // and the oracle's CellExitT and the Aabb-free CellExitTDda used by the
-  // octree marcher must agree bitwise.
-  const GridDims dims{10, 10, 10};
-  const Vec3i cell{3, 4, 5};
-  const Aabb bounds{
-      {float(cell.x) / 10.f, float(cell.y) / 10.f, float(cell.z) / 10.f},
-      {float(cell.x + 1) / 10.f, float(cell.y + 1) / 10.f,
-       float(cell.z + 1) / 10.f}};
-  Ray ray;
-  // Origin y sits EXACTLY on the cell's low y face; x starts inside.
-  ray.origin = Vec3f{0.31f, float(cell.y) / 10.f, 0.53f};
-  // Sub-epsilon components count as degenerate, exactly like zero.
-  for (const float dy : {0.f, 1e-13f, -1e-13f}) {
-    ray.direction = Vec3f{1.f, dy, 0.f};
-    for (const float t : {0.f, 0.005f, 0.08f}) {
-      const float flat = test::CellExitT(ray, bounds, t);
-      const float dda = render_detail::CellExitTDda(ray, cell, dims, t);
-      EXPECT_GT(flat, t) << "dy=" << dy << " t=" << t;
-      EXPECT_EQ(flat, dda) << "dy=" << dy << " t=" << t;  // bitwise
-      // The x exit is at world x = 0.4, i.e. t = 0.4 - 0.31 = 0.09.
-      EXPECT_NEAR(flat, 0.09f, 1e-5f);
-    }
-  }
-  // Fully degenerate direction (all axes grazing): only the nextafter
-  // guard advances, and both variants must still agree bitwise.
-  ray.direction = Vec3f{0.f, 0.f, 0.f};
-  const float t = 0.25f;
-  const float flat = test::CellExitT(ray, bounds, t);
-  EXPECT_GT(flat, t);
-  EXPECT_EQ(flat, render_detail::CellExitTDda(ray, cell, dims, t));
 }
 
 TEST(VolumeRenderer, Fp16MlpOptionChangesOutputSlightly) {

@@ -1,8 +1,11 @@
 // Differential suite for the wavefront (batched) marcher with octree
 // empty-space skipping: images, RenderStats and DecodeCounters must be
-// BIT-identical to the per-ray flat-chain oracle (support/reference_render)
-// for every field source, fp16 mode, worker count and SIMD path — batching
-// and the octree are execution policy, never semantics.
+// BIT-identical to the per-ray uniform-march oracle, which tests occupancy
+// at every sample (support/reference_render), for every field source, fp16
+// mode, worker count and SIMD path — batching and the octree are execution
+// policy, never semantics. For the grid and masked SpNeRF sources the skip
+// structure does not even change the image: every sample it skips reads
+// density exactly 0.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -191,6 +194,101 @@ TEST_F(WavefrontTest, SpNeRFFp16TiuBitIdentical) {
   const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true,
                                  /*collect_counters=*/false);
   RunDifferential(source);
+}
+
+/// The sources whose non-zero density lies inside the full-grid occupancy:
+/// the full grid, the VQRF-restored grid and SpNeRF with bitmap masking, at
+/// fp32 and fp16-TIU interpolation.
+struct MaskedSources {
+  MaskedSources(const SceneDataset& dataset, const SpNeRFModel& codec)
+      : restored(dataset.vqrf->Restore()),
+        full(dataset.full_grid),
+        vqrf(restored),
+        spnerf(codec, /*fp16_tiu=*/false, /*collect_counters=*/false),
+        spnerf_tiu(codec, /*fp16_tiu=*/true, /*collect_counters=*/false) {}
+
+  [[nodiscard]] std::array<const FieldSource*, 4> All() const {
+    return {&full, &vqrf, &spnerf, &spnerf_tiu};
+  }
+
+  DenseGrid restored;
+  GridFieldSource full;
+  GridFieldSource vqrf;
+  SpNeRFFieldSource spnerf;
+  SpNeRFFieldSource spnerf_tiu;
+};
+
+/// Points the skip test rejects — in the box, in an empty leaf cell of
+/// the test scene's octree — drawn at random in every empty cell, a third
+/// of them on a cell face.
+std::vector<Vec3f> EmptyLeafPoints(const CoarseOccupancy& coarse) {
+  const GridDims& cd = coarse.CoarseDims();
+  const auto world = [](int cell, float frac, int n) {
+    return (static_cast<float>(cell) + frac) / static_cast<float>(n);
+  };
+  Rng rng(12);
+  std::vector<Vec3f> points;
+  for (int x = 0; x < cd.nx; ++x) {
+    for (int y = 0; y < cd.ny; ++y) {
+      for (int z = 0; z < cd.nz; ++z) {
+        if (coarse.Bits().Test(Vec3i{x, y, z})) continue;
+        for (int k = 0; k < 12; ++k) {
+          Vec3f f{rng.NextFloat(), rng.NextFloat(), rng.NextFloat()};
+          if (k % 3 == 0) f[k % 9 / 3] = static_cast<float>(k % 2);
+          const Vec3f p{world(x, f.x, cd.nx), world(y, f.y, cd.ny),
+                        world(z, f.z, cd.nz)};
+          // A point on a high face may round into the neighbouring cell.
+          if (!coarse.OccupiedAtWorld(p)) points.push_back(p);
+        }
+      }
+    }
+  }
+  return points;
+}
+
+TEST_F(WavefrontTest, EmptyLeafSamplesReadZeroDensity) {
+  // The premise that makes the skip structure invisible: the fine grid is
+  // vertex-centred, so every trilinear corner of a point in coarse cell c
+  // lies in coarse cells c-1..c+1, which the one-cell dilation covers, and
+  // an empty leaf's corners all hold density 0 in every masked source.
+  const std::vector<Vec3f> points = EmptyLeafPoints(*occupancy_);
+  ASSERT_GT(points.size(), 1000u);
+  const MaskedSources sources(*dataset_, *codec_);
+  for (const FieldSource* source : sources.All()) {
+    std::vector<FieldSample> got(points.size());
+    source->SampleBatch(points, got, nullptr);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      ASSERT_EQ(got[i].density, 0.f)
+          << source->Name() << " point " << i << " at " << points[i].x
+          << "," << points[i].y << "," << points[i].z;
+    }
+  }
+}
+
+TEST_F(WavefrontTest, SkipStructureNeverChangesTheImage) {
+  // With samples on a fixed per-ray grid and skipped samples reading
+  // density 0, attaching the octree changes which samples are decoded but
+  // not a pixel, an MLP eval or a terminated ray.
+  const MaskedSources sources(*dataset_, *codec_);
+  for (const FieldSource* source : sources.All()) {
+    for (const bool fp16 : {false, true}) {
+      const RenderResult no_skip =
+          RenderWith(MakeJob(*source, fp16, /*with_skip=*/false), 1);
+      EXPECT_GT(no_skip.stats.mlp_evals, 0u);
+      for (const unsigned workers : {1u, 2u, 8u}) {
+        SCOPED_TRACE(std::string(source->Name()) + " fp16=" +
+                     (fp16 ? "1" : "0") +
+                     " workers=" + std::to_string(workers));
+        const RenderResult skip = RenderWith(MakeJob(*source, fp16), workers);
+        EXPECT_GT(skip.stats.coarse_skips, 0u);
+        ExpectSameImage(no_skip.image, skip.image);
+        EXPECT_EQ(no_skip.stats.mlp_evals, skip.stats.mlp_evals);
+        EXPECT_EQ(no_skip.stats.terminated_rays, skip.stats.terminated_rays);
+        ExpectSameRunningStats(no_skip.stats.evals_per_ray,
+                               skip.stats.evals_per_ray);
+      }
+    }
+  }
 }
 
 TEST_F(WavefrontTest, SimdPathsMatchOracle) {
